@@ -33,12 +33,17 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "config": {"errors"},
     "simclock": {"errors"},
     "observability": {"errors"},
-    "core": {"errors", "observability", "backends"},
-    "wormhole": {"errors", "config"},
+    # The C compile-and-cache helper and the REPRO_NATIVE switch, shared
+    # by every layer with a native fast path.
+    "native": {"errors", "config"},
+    "core": {"errors", "observability", "backends", "native"},
+    "wormhole": {"errors", "config", "native"},
     "analysis": {"errors", "config", "wormhole"},
     "metalium": {"errors", "wormhole", "analysis"},
     "cpuref": {"errors", "core", "backends"},
-    "nbody_tt": {"errors", "core", "wormhole", "metalium", "backends"},
+    "nbody_tt": {
+        "errors", "core", "wormhole", "metalium", "backends", "native",
+    },
     # The far-field port: PM mesh/Poisson numerics plus the Metalium FFT
     # kernel set; reuses nbody_tt's tiling assignment and op-mix pricing.
     "nbody_pm": {

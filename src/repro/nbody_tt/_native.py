@@ -4,8 +4,7 @@ The fp32 force math is ~35 IEEE-rounded elementwise passes per particle
 pair.  NumPy executes each pass as a separate memory sweep, which caps the
 functional simulator at a few Gelem/s on one host core.  This module
 compiles (once per machine, cached on disk by source hash — see
-:func:`repro.wormhole._native_pack.compile_library`) a family of fused
-kernels:
+:func:`repro.native.compile_library`) a family of fused kernels:
 
 * ``nbody_chunk_f32`` — one fused elementwise pass over an
   (i-rows x j-stream) chunk, emitting the six per-pair product arrays the
@@ -52,7 +51,7 @@ import threading
 
 import numpy as np
 
-from ..wormhole._native_pack import compile_library, native_enabled
+from ..native import compile_library, native_enabled
 
 __all__ = [
     "native_force_kernel",

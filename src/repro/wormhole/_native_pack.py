@@ -1,97 +1,25 @@
-"""Native (C) acceleration for the tilize/pack layer, plus the shared
-compile-and-cache machinery every native kernel module in this repository
-uses.
+"""Native (C) acceleration for the tilize/pack layer.
 
-Two things live here, deliberately at the bottom of the layering
-(``wormhole`` imports nothing but ``errors``):
-
-* :func:`compile_library` — compile a C source string into a shared
-  library with the project's bit-identity flags (``-ffp-contract=off``,
-  no ``-ffast-math``) and cache the resulting ``.so`` on disk keyed by a
-  hash of (source, flags, compiler).  Re-imports, forked workers and
-  repeated test sessions reuse the artifact instead of re-invoking the
-  compiler.  Any failure returns ``None``; callers fall back to NumPy.
-* the bfloat16 pack kernel — round-to-nearest-even truncation of the
-  FP32 bit pattern, the exact integer twiddle
-  ``(bits + (((bits >> 16) & 1) + 0x7FFF)) & 0xFFFF0000`` that
-  :func:`repro.wormhole.dtypes._round_to_bfloat16` performs with NumPy.
-  Pure integer arithmetic, so bit-identity is trivial; the win is one
-  fused pass instead of four full-array temporaries on the tilize path.
-
-``REPRO_NATIVE=0`` disables every native kernel at once.
+The bfloat16 pack kernel — round-to-nearest-even truncation of the FP32
+bit pattern, the exact integer twiddle
+``(bits + (((bits >> 16) & 1) + 0x7FFF)) & 0xFFFF0000`` that
+:func:`repro.wormhole.dtypes._round_to_bfloat16` performs with NumPy.
+Pure integer arithmetic, so bit-identity is trivial; the win is one fused
+pass instead of four full-array temporaries on the tilize path.  It is
+compiled through :func:`repro.native.compile_library`, and
+``REPRO_NATIVE=0`` turns it off with every other native kernel.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 import threading
 
 import numpy as np
 
-__all__ = ["compile_library", "native_enabled", "native_bf16_round"]
+from ..native import compile_library, native_enabled
 
-#: -ffp-contract=off forbids FMA contraction (would change rounding);
-#: -fno-math-errno lets sqrtf vectorise while staying correctly rounded.
-CFLAGS = [
-    "-O3", "-march=native", "-funroll-loops",
-    "-fno-math-errno", "-ffp-contract=off",
-    "-shared", "-fPIC",
-]
-
-
-def native_enabled() -> bool:
-    """False when ``REPRO_NATIVE=0`` (or false/no/off) opts out of all
-    compiled kernels; unset or empty means on."""
-    from ..config import env_flag
-
-    return env_flag(os.environ.get("REPRO_NATIVE"), name="REPRO_NATIVE",
-                    default=True)
-
-
-def compile_library(source: str, tag: str) -> ctypes.CDLL | None:
-    """Compile ``source`` into a cached shared library; ``None`` on failure.
-
-    The artifact lands in the system temp directory under a name derived
-    from the hash of (source, flags, compiler), so identical sources load
-    without recompiling — across processes, fork-spawned shard workers,
-    and repeated test sessions.  The build itself goes to a private temp
-    file and is moved into place atomically, so concurrent builders never
-    observe a half-written library.
-    """
-    cc = os.environ.get("CC", "cc")
-    digest = hashlib.sha256(
-        "\x00".join([source, " ".join(CFLAGS), cc]).encode()
-    ).hexdigest()[:16]
-    cached = os.path.join(
-        tempfile.gettempdir(), f"repro-native-{tag}-{digest}.so"
-    )
-    try:
-        if os.path.exists(cached):
-            return ctypes.CDLL(cached)
-    except OSError:
-        pass  # stale/corrupt cache entry: rebuild below
-    build_dir = tempfile.mkdtemp(prefix=f"repro-native-{tag}-")
-    src = os.path.join(build_dir, f"{tag}.c")
-    lib = os.path.join(build_dir, f"{tag}.so")
-    with open(src, "w") as fh:
-        fh.write(source)
-    try:
-        subprocess.run(
-            [cc, *CFLAGS, src, "-o", lib, "-lm"],
-            check=True, capture_output=True, timeout=120,
-        )
-        try:
-            os.replace(lib, cached)
-            return ctypes.CDLL(cached)
-        except OSError:
-            return ctypes.CDLL(lib)
-    except (OSError, subprocess.SubprocessError):
-        return None
-
+__all__ = ["native_bf16_round"]
 
 _BF16_SOURCE = r"""
 #include <stdint.h>

@@ -9,12 +9,15 @@ The n300 card carries 12 GB of external GDDR6 behind a 192-bit memory bus
   bus rate onto the issuing core's data-movement timeline, and aggregate
   traffic is tracked for the benches.
 
-Storage is materialised lazily per buffer rather than as one 12 GB array;
-capacity accounting is still enforced against the real 12 GB budget.
+Storage is created per allocation on its first write — an allocation that
+is never written reads as zeros and costs no host memory — so a near-
+capacity allocation does not need 12 GB of host RAM; capacity accounting
+is still enforced against the real 12 GB budget.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +57,12 @@ class Dram:
         self.chip = chip
         self.capacity = chip.dram_bytes
         self._next_address = 0
-        self._store: dict[int, np.ndarray] = {}
+        #: live allocation base addresses, ascending: the bump allocator
+        #: hands out increasing addresses, so appending keeps them sorted
+        self._bases: list[int] = []
         self._sizes: dict[int, int] = {}
+        #: zero-filled storage, created by an allocation's first write
+        self._store: dict[int, np.ndarray] = {}
         self.bytes_read = 0
         self.bytes_written = 0
 
@@ -76,28 +83,33 @@ class Dram:
             )
         address = self._next_address
         self._next_address += aligned
-        self._store[address] = np.zeros(aligned, dtype=np.uint8)
+        self._bases.append(address)
         self._sizes[address] = aligned
         return DramAllocation(address, aligned)
 
     def free(self, alloc: DramAllocation) -> None:
         if self._sizes.pop(alloc.address, None) is None:
             raise AllocationError(f"free of unknown DRAM allocation {alloc!r}")
-        del self._store[alloc.address]
+        del self._bases[bisect_left(self._bases, alloc.address)]
+        self._store.pop(alloc.address, None)
 
     def reset(self) -> None:
         self._next_address = 0
-        self._store.clear()
+        self._bases.clear()
         self._sizes.clear()
+        self._store.clear()
         self.bytes_read = 0
         self.bytes_written = 0
 
     # -- data access ---------------------------------------------------------
 
-    def _locate(self, address: int, size: int) -> tuple[np.ndarray, int]:
-        for base, buf in self._store.items():
-            if base <= address and address + size <= base + buf.size:
-                return buf, address - base
+    def _locate(self, address: int, size: int) -> int:
+        """Base address of the live allocation holding the access."""
+        i = bisect_right(self._bases, address) - 1
+        if i >= 0:
+            base = self._bases[i]
+            if address + size <= base + self._sizes[base]:
+                return base
         raise DeviceMemoryError(
             f"DRAM access [{address}, {address + size}) hits no live allocation"
         )
@@ -108,7 +120,11 @@ class Dram:
         raw = np.frombuffer(bytes(data), dtype=np.uint8) if isinstance(
             data, (bytes, bytearray)
         ) else np.ascontiguousarray(data).view(np.uint8).ravel()
-        buf, offset = self._locate(address, raw.size)
+        base = self._locate(address, raw.size)
+        buf = self._store.get(base)
+        if buf is None:
+            buf = self._store[base] = np.zeros(self._sizes[base], np.uint8)
+        offset = address - base
         buf[offset : offset + raw.size] = raw
         self.bytes_written += raw.size
         cycles = self.transfer_cycles(raw.size)
@@ -118,11 +134,18 @@ class Dram:
 
     def read(self, address: int, size: int,
              counter: CycleCounter | None = None) -> bytes:
-        """Load ``size`` bytes from ``address``, charging bandwidth cost."""
-        buf, offset = self._locate(address, size)
+        """Load ``size`` bytes from ``address``, charging bandwidth cost.
+
+        Bytes of an allocation that was never written read as zeros.
+        """
+        base = self._locate(address, size)
         self.bytes_read += size
         if counter is not None:
             counter.add_datamove(self.transfer_cycles(size), op="dram.read")
+        buf = self._store.get(base)
+        if buf is None:
+            return bytes(size)
+        offset = address - base
         return bytes(buf[offset : offset + size])
 
     def touch_read(self, address: int, size: int,

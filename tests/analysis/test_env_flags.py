@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.hooks import env_sanitize_enabled
 from repro.errors import ConfigurationError
-from repro.wormhole._native_pack import native_enabled
+from repro.native import native_enabled
 
 
 class TestSanitizeFlag:

@@ -5,13 +5,18 @@ The bit-identity contract (same IEEE fp32 ops, same order, reductions
 matching NumPy's pairwise tree) is what lets the native kernels be a pure
 speed change: these tests pin it for the fused engine tile kernel, the
 double-single ablation, the Gram-chain ablation, and the pairwise-sum
-reduction itself."""
+reduction itself.
+
+Every test starts with native kernels enabled, whatever the ambient
+``REPRO_NATIVE``, and opts out explicitly where it needs the NumPy path.
+"""
 
 import numpy as np
 import pytest
 
 from repro import plummer
 from repro.backends import make_backend
+from repro.nbody_tt import _native
 from repro.nbody_tt._native import (
     _pairwise_matches_numpy,
     native_available,
@@ -22,8 +27,13 @@ from repro.nbody_tt._native import (
 )
 
 pytestmark = pytest.mark.skipif(
-    not native_available(), reason="no C toolchain for the native kernels"
+    _native._load() is None, reason="no C toolchain for the native kernels"
 )
+
+
+@pytest.fixture(autouse=True)
+def _native_on(monkeypatch):
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
 
 
 def _compute(backend_name, system, **options):
@@ -35,8 +45,6 @@ class TestPairwiseSum:
     """The C reduction reproduces NumPy's pairwise tree exactly."""
 
     def test_self_test_passes_for_loaded_kernel(self):
-        from repro.nbody_tt import _native
-
         kernels = _native._load()
         assert kernels is not None
         assert _pairwise_matches_numpy(kernels.pairwise)

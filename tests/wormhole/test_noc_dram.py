@@ -1,5 +1,10 @@
 """Tests for the NoC and DRAM models."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,9 @@ from repro.wormhole.counters import CycleCounter
 from repro.wormhole.dram import Dram
 from repro.wormhole.noc import Noc, NocCoordinate
 from repro.wormhole.params import WORMHOLE_N300
+
+_REPO = Path(__file__).resolve().parents[2]
+_EXHAUSTION_TEST = "tests/wormhole/test_noc_dram.py::TestDram::test_exhaustion"
 
 
 class TestNocCoordinate:
@@ -152,3 +160,77 @@ class TestDram:
         dram.reset()
         assert dram.allocated_bytes == 0
         assert dram.bytes_read == 0 and dram.bytes_written == 0
+
+
+class TestDramLazyStorage:
+    """Storage appears on an allocation's first write, never earlier."""
+
+    def test_unwritten_allocation_reads_zeros_without_storage(self):
+        dram = Dram()
+        a = dram.allocate(256)
+        assert dram.read(a.address + 32, 64) == bytes(64)
+        assert dram.bytes_read == 64
+        assert not dram._store
+
+    def test_touch_accounts_without_creating_storage(self):
+        dram = Dram()
+        a = dram.allocate(4096)
+        counter = CycleCounter()
+        dram.touch_write(a.address, 4096, counter)
+        dram.touch_read(a.address, 4096, counter)
+        assert dram.bytes_written == dram.bytes_read == 4096
+        assert counter.datamove_cycles == 2 * dram.transfer_cycles(4096)
+        assert not dram._store
+        with pytest.raises(DeviceMemoryError):
+            dram.touch_read(a.address + 1, 4096)
+
+    def test_lookup_among_many_allocations(self):
+        dram = Dram()
+        allocs = [dram.allocate(64 * (k + 1)) for k in range(8)]
+        for k, a in enumerate(allocs):
+            dram.write(a.address, bytes([k]) * a.size)
+        dram.free(allocs[3])
+        for k, a in enumerate(allocs):
+            if k == 3:
+                with pytest.raises(DeviceMemoryError):
+                    dram.read(a.address, 1)
+            else:
+                assert dram.read(a.address + a.size - 1, 1) == bytes([k])
+        # an access may not straddle two neighbouring allocations
+        with pytest.raises(DeviceMemoryError):
+            dram.read(allocs[5].address + allocs[5].size - 8, 16)
+        with pytest.raises(DeviceMemoryError):
+            dram.read(-8, 8)
+        assert dram.allocated_bytes == sum(
+            a.size for k, a in enumerate(allocs) if k != 3
+        )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS is enforced on Linux")
+    def test_exhaustion_under_address_space_limit(self):
+        """``test_exhaustion`` in a child capped at 2 GiB of address space.
+
+        The near-capacity allocation asks for 12 GiB; recording it must
+        not reserve any of that on the host.
+        """
+        limit = 2 * 1024**3
+        script = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "import pytest\n"
+            "sys.exit(pytest.main(['-p', 'no:cacheprovider', "
+            f"{_EXHAUSTION_TEST!r}]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(_REPO / "src"), env.get("PYTHONPATH")])
+        )
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env[var] = "1"  # per-thread BLAS buffers would eat the budget
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=_REPO, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "1 passed" in proc.stdout
