@@ -30,10 +30,8 @@ from .forces import (
 )
 from .hermite import HermiteStepResult, correct, hermite_step, predict
 from .integrators import (
-    BlockHermiteDriver,
     Integrator,
     IntegratorSpec,
-    LeapfrogDriver,
     RegisteredIntegrator,
     integrator_choices_help,
     integrator_entry,
@@ -41,7 +39,7 @@ from .integrators import (
     make_integrator,
     register_integrator,
 )
-from .leapfrog import LeapfrogSimulation, leapfrog_step
+from .leapfrog import LeapfrogDriver, leapfrog_step
 from .initial_conditions import (
     binary,
     cluster_collision,
@@ -70,6 +68,7 @@ from .scenarios import (
 )
 from .simulation import (
     CycleRecord,
+    Driver,
     ForceBackend,
     ForceEvaluation,
     HermiteIntegrator,
@@ -106,7 +105,7 @@ __all__ = [
     "BlockHermiteIntegrator",
     "BlockStats",
     "accel_jerk_on_targets",
-    "LeapfrogSimulation",
+    "LeapfrogDriver",
     "leapfrog_step",
     "cluster_collision",
     "OrbitalElements",
@@ -127,10 +126,8 @@ __all__ = [
     "correct",
     "hermite_step",
     "predict",
-    "BlockHermiteDriver",
     "Integrator",
     "IntegratorSpec",
-    "LeapfrogDriver",
     "RegisteredIntegrator",
     "integrator_choices_help",
     "integrator_entry",
@@ -151,6 +148,7 @@ __all__ = [
     "uniform_sphere",
     "ParticleSystem",
     "CycleRecord",
+    "Driver",
     "ForceBackend",
     "ForceEvaluation",
     "HermiteIntegrator",

@@ -12,31 +12,35 @@ The scheme:
 
 1. global time advances to the earliest due time  t = min_i (t_i + dt_i);
 2. every particle is *predicted* to t (Taylor through the jerk);
-3. the active block gets new forces from all predicted particles
-   (:func:`~repro.core.forces.accel_jerk_on_targets`);
+3. the active block gets new forces from all predicted particles;
 4. the Hermite corrector updates the active block, and each active
    particle draws a new Aarseth timestep, quantised down to a power of
    two that divides its current time (the block-synchronisation rule)
    and is allowed to at most double per update.
 
-The force evaluation is pluggable (``partial_force``) so precision
-experiments can substitute mixed-precision kernels; the default is the
-double-precision golden reference.
+Forces come from the backend's target-subset evaluation
+(:func:`~repro.backends.protocol.compute_on_targets`), so each block
+dispatches only the active block's i-rows (i-tile subsets on the device
+backends, row subsets on the CPU ones) and its timeline carries the
+backend's subset-priced segments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from ..errors import ConfigurationError, IntegratorError
-from .forces import accel_jerk_on_targets
 from .hermite import correct
 from .particles import ParticleSystem
+from .simulation import Driver, ForceBackend, HostCostModel, _require_dt
 from .timestep import aarseth_timestep, initial_timestep
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..observability import Trace
 
 __all__ = ["BlockStats", "BlockHermiteIntegrator"]
 
@@ -64,20 +68,32 @@ class BlockStats:
             self.level_histogram[key] = self.level_histogram.get(key, 0) + 1
 
 
-class BlockHermiteIntegrator:
-    """4th-order Hermite with individual power-of-two block timesteps."""
+class BlockHermiteIntegrator(Driver):
+    """4th-order Hermite with individual power-of-two block timesteps.
+
+    Registered as ``"block-hermite"``.  ``run(n_cycles)`` advances
+    ``n_cycles * dt`` of physical time in however many block updates the
+    hierarchy takes, then synchronises every particle to the final global
+    time; each block contributes one :class:`~repro.core.simulation
+    .CycleRecord`.  ``stats`` accounts the work done.
+    """
+
+    name = "block-hermite"
 
     def __init__(
         self,
         system: ParticleSystem,
+        backend: ForceBackend,
         *,
+        dt: float | None,
         eta: float = 0.02,
         eta_start: float = 0.01,
         dt_max: float = 0.0625,
-        softening: float = 0.0,
         block_levels: int = MAX_LEVEL,
-        partial_force: Callable | None = None,
+        host_cost: HostCostModel = HostCostModel(),
+        trace: "Trace | None" = None,
     ) -> None:
+        self.dt = _require_dt(dt, self.name)
         if not (0 < eta and 0 < eta_start):
             raise ConfigurationError("eta values must be positive")
         if dt_max <= 0:
@@ -94,24 +110,17 @@ class BlockHermiteIntegrator:
             raise ConfigurationError(
                 f"block_levels must be in [1, {MAX_LEVEL}], got {block_levels}"
             )
-        self.system = system
+        super().__init__(system, backend, host_cost=host_cost, trace=trace)
         self.eta = eta
         self.eta_start = eta_start
         self.dt_max = dt_max
         self.block_levels = block_levels
-        self.softening = softening
-        self._force = partial_force if partial_force is not None else (
-            lambda pos, vel, mass, targets: accel_jerk_on_targets(
-                pos, vel, mass, targets, softening=self.softening
-            )
-        )
         self.stats = BlockStats()
         n = system.n
         self._t = np.zeros(n)          # last update time per particle
         self._level = np.zeros(n, dtype=np.intp)
         self._snap = np.zeros((n, 3))
         self._crackle = np.zeros((n, 3))
-        self._initialised = False
 
     # -- hierarchy helpers --------------------------------------------------
 
@@ -153,29 +162,32 @@ class BlockHermiteIntegrator:
 
     # -- integration ----------------------------------------------------------
 
-    def initialise(self) -> None:
-        """Compute initial forces and assign every particle a timestep level."""
+    def _first_evaluation(self) -> None:
+        """Full-set forces, then a timestep level for every particle."""
         s = self.system
-        all_idx = np.arange(s.n)
-        acc, jerk = self._force(s.pos, s.vel, s.mass, all_idx)
-        s.acc, s.jerk = acc, jerk
-        dt = initial_timestep(acc, jerk, self.eta_start)
+        evaluation = self._force(s.pos, s.vel, np.arange(s.n))
+        s.acc, s.jerk = evaluation.acc, evaluation.jerk
+        dt = initial_timestep(s.acc, s.jerk, self.eta_start)
         dt = np.minimum(dt, self.dt_max)
         k = np.ceil(np.log2(self.dt_max / dt))
         self._level = np.maximum(k, 0).astype(np.intp)
         if np.any(self._level > self.block_levels):
             raise IntegratorError("initial timestep below the hierarchy floor")
         self._t = np.full(s.n, s.time)
-        self._initialised = True
 
     def next_block_time(self) -> float:
         """Earliest pending update time across all particles."""
         return float(np.min(self._t + self._dt_of_level(self._level)))
 
-    def step_block(self) -> int:
-        """Advance one block; returns the number of updated particles."""
-        if not self._initialised:
-            self.initialise()
+    def _step_sizes(self, n_cycles: int) -> Iterator[float]:
+        """Blocks up to ``t_end``; then every particle is brought to it."""
+        t_end = self.system.time + n_cycles * self.dt
+        while (t_next := self.next_block_time()) <= t_end:
+            yield t_next - self.system.time
+        self.synchronise()
+
+    def _step(self, dt: float) -> int:
+        """Advance the active block to the next block time, ``dt`` ahead."""
         s = self.system
         due = self._t + self._dt_of_level(self._level)
         t_new = float(np.min(due))
@@ -191,37 +203,27 @@ class BlockHermiteIntegrator:
         )
         vel_p = s.vel + dt_all * s.acc + dt_all**2 / 2.0 * s.jerk
 
-        acc1, jerk1 = self._force(pos_p, vel_p, s.mass, active)
+        evaluation = self._force(pos_p, vel_p, active)
+        acc1, jerk1 = evaluation.acc, evaluation.jerk
 
+        # particles due together may have been updated at different times
+        # (after level changes): correct each group of equal intervals
+        # over its own interval; a group's members share one float, since
+        # each member's _t was set from the same t_new
         dt_active = t_new - self._t[active]
-        step = correct(
-            s.pos[active], s.vel[active],
-            s.acc[active], s.jerk[active],
-            acc1, jerk1, float(dt_active[0]),
-        ) if np.allclose(dt_active, dt_active[0]) else None
-        if step is not None:
-            s.pos[active] = step.pos
-            s.vel[active] = step.vel
-            s.acc[active] = step.acc
-            s.jerk[active] = step.jerk
-            self._snap[active] = step.snap
-            self._crackle[active] = step.crackle
-        else:
-            # mixed dt in one block (possible after level changes): correct
-            # particle groups per distinct dt
-            for dt_value in np.unique(dt_active):
-                sel = active[np.abs(dt_active - dt_value) < 1e-15]
-                rows = np.searchsorted(active, sel)
-                sub = correct(
-                    s.pos[sel], s.vel[sel], s.acc[sel], s.jerk[sel],
-                    acc1[rows], jerk1[rows], float(dt_value),
-                )
-                s.pos[sel] = sub.pos
-                s.vel[sel] = sub.vel
-                s.acc[sel] = sub.acc
-                s.jerk[sel] = sub.jerk
-                self._snap[sel] = sub.snap
-                self._crackle[sel] = sub.crackle
+        for dt_value in np.unique(dt_active):
+            rows = np.flatnonzero(dt_active == dt_value)
+            sel = active[rows]
+            step = correct(
+                s.pos[sel], s.vel[sel], s.acc[sel], s.jerk[sel],
+                acc1[rows], jerk1[rows], float(dt_value),
+            )
+            s.pos[sel] = step.pos
+            s.vel[sel] = step.vel
+            s.acc[sel] = step.acc
+            s.jerk[sel] = step.jerk
+            self._snap[sel] = step.snap
+            self._crackle[sel] = step.crackle
 
         # non-active particles keep their state at their own t_i; only the
         # active ones move their clocks
@@ -237,28 +239,6 @@ class BlockHermiteIntegrator:
         s.time = t_new
         self.stats.record_block(active.size, s.n, self._level[active])
         return int(active.size)
-
-    def run_until(self, t_end: float, *, max_blocks: int = 10_000_000) -> None:
-        """Advance block steps until the global time reaches ``t_end``.
-
-        The final state leaves each particle at its own last update time
-        (standard for block schemes); call :meth:`synchronise` to bring
-        every particle exactly to the current global time.
-        """
-        if t_end <= self.system.time:
-            raise ConfigurationError(
-                f"t_end={t_end} is not ahead of t={self.system.time}"
-            )
-        if not self._initialised:
-            self.initialise()
-        blocks = 0
-        while self.next_block_time() <= t_end:
-            self.step_block()
-            blocks += 1
-            if blocks > max_blocks:
-                raise IntegratorError(
-                    f"exceeded {max_blocks} block steps before t_end"
-                )
 
     def synchronise(self) -> None:
         """Predict every particle to the current global time."""

@@ -1,12 +1,7 @@
 """First-class integrators: a registry mirroring the backend registry.
 
-Before this layer existed the integration scheme was welded to its entry
-point: :class:`~repro.core.simulation.Simulation` *was* the shared-step
-Hermite loop, :class:`~repro.core.block_hermite.BlockHermiteIntegrator`
-could only be driven by hand with an ad-hoc ``partial_force`` callable,
-and the leapfrog comparator lived outside the RunSpec/CLI/service path
-entirely.  Now an :class:`IntegratorSpec` — a name plus typed options —
-is the declarative form of an integration scheme, exactly as
+An :class:`IntegratorSpec` — a name plus typed options — is the
+declarative form of an integration scheme, exactly as
 :class:`~repro.backends.registry.BackendSpec` is for a force backend:
 :func:`make_integrator` realises it against a system and a backend, and
 :func:`register_integrator` lets new schemes join the same machinery
@@ -19,40 +14,25 @@ scheme the spec names.  ``run(n_cycles)`` always advances the system by
 ``n_cycles * dt`` of physical time: for the shared-step schemes that is
 n_cycles steps, for the block scheme it is however many block updates
 the hierarchy needs, so energy gates and benches compare integrators at
-matched physical spans.
-
-The block scheme is where the backend protocol's target-subset contract
-pays off: each block update evaluates forces only on the active block
-through :func:`~repro.backends.protocol.compute_on_targets`, so an
-O(N_active * N) device dispatch replaces the O(N^2) full evaluation.
+matched physical spans.  The built-in schemes are
+:class:`~repro.core.simulation.Driver` subclasses: one loop, three hooks
+each.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, \
     runtime_checkable
 
-import numpy as np
-
-from ..backends.protocol import (
-    TimelineSegment,
-    accepts_trace,
-    compute_on_targets,
-)
+from ..backends.protocol import TimelineSegment
 from ..backends.registry import OptionSpec
 from ..errors import ConfigurationError, UnknownIntegratorError
 from .block_hermite import MAX_LEVEL, BlockHermiteIntegrator
-from .leapfrog import leapfrog_step
-from .simulation import (
-    CycleRecord,
-    HermiteIntegrator,
-    HostCostModel,
-    SimulationResult,
-)
+from .leapfrog import LeapfrogDriver
+from .simulation import HermiteIntegrator, HostCostModel, SimulationResult
 from .timestep import SharedTimestep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,9 +47,10 @@ __all__ = [
     "integrator_names",
     "integrator_entry",
     "integrator_choices_help",
-    "BlockHermiteDriver",
-    "LeapfrogDriver",
 ]
+
+#: alias of the block scheme; callers import it under this name too
+BlockHermiteDriver = BlockHermiteIntegrator
 
 
 @runtime_checkable
@@ -236,312 +217,6 @@ def make_integrator(
     )
 
 
-def _require_dt(dt: float | None, name: str) -> float:
-    if dt is None or dt <= 0 or not np.isfinite(dt):
-        raise ConfigurationError(
-            f"integrator {name!r} needs a positive finite dt, got {dt}"
-        )
-    return float(dt)
-
-
-# --------------------------------------------------------------------------
-# Drivers
-# --------------------------------------------------------------------------
-
-
-class BlockHermiteDriver:
-    """Block-timestep Hermite over a backend's target-subset evaluation.
-
-    Wraps :class:`~repro.core.block_hermite.BlockHermiteIntegrator` with
-    the force callable routed through :func:`~repro.backends.protocol
-    .compute_on_targets`, so each block update dispatches only the
-    active block's i-rows to the backend (i-tile subsets on the device
-    backends, row subsets on the CPU ones) and the block's timeline
-    carries the backend's subset-priced segments.  ``run(n_cycles)``
-    advances ``n_cycles * dt`` of physical time in however many block
-    updates the hierarchy takes, then synchronises every particle to the
-    final global time; each block contributes one :class:`CycleRecord`.
-    """
-
-    name = "block-hermite"
-
-    def __init__(
-        self,
-        system: "ParticleSystem",
-        backend: Any,
-        *,
-        dt: float | None,
-        host_cost: HostCostModel,
-        trace: Any = None,
-        eta: float = 0.02,
-        eta_start: float = 0.01,
-        dt_max: float = 0.0625,
-        block_levels: int = MAX_LEVEL,
-    ) -> None:
-        self.dt = _require_dt(dt, self.name)
-        self.system = system
-        self.backend = backend
-        self.host_cost = host_cost
-        self.trace = trace
-        self._backend_traced = trace is not None and accepts_trace(backend)
-        if self._backend_traced:
-            backend.trace = trace
-        self._pending: list[TimelineSegment] = []
-        self.integrator = BlockHermiteIntegrator(
-            system, eta=eta, eta_start=eta_start, dt_max=dt_max,
-            block_levels=block_levels, partial_force=self._force,
-        )
-        self._initialised = False
-
-    @property
-    def stats(self):
-        """The wrapped integrator's :class:`BlockStats` work accounting."""
-        return self.integrator.stats
-
-    def _force(self, pos, vel, mass, targets):
-        trace = self.trace
-        span = (
-            trace.span(
-                "force", category="sim", backend=self.backend.name,
-                n_targets=int(len(targets)),
-            )
-            if trace is not None else nullcontext()
-        )
-        with span:
-            evaluation = compute_on_targets(
-                self.backend, pos, vel, mass, targets
-            )
-            if trace is not None and not self._backend_traced:
-                for seg in evaluation.segments:
-                    trace.add_span(
-                        seg.detail or seg.tag, seg.seconds, category=seg.tag
-                    )
-        self._pending.extend(evaluation.segments)
-        return evaluation.acc, evaluation.jerk
-
-    def _drain(self) -> list[TimelineSegment]:
-        segments, self._pending = self._pending, []
-        return segments
-
-    def initialise(self) -> list[TimelineSegment]:
-        """Initial full-set force evaluation and level assignment."""
-        trace = self.trace
-        span = (
-            trace.span("initialise", category="sim")
-            if trace is not None else nullcontext()
-        )
-        with span:
-            segments: list[TimelineSegment] = []
-            if self.host_cost.init_seconds > 0.0:
-                segments.append(
-                    TimelineSegment("host", self.host_cost.init_seconds, "init")
-                )
-                if trace is not None:
-                    trace.add_span(
-                        "init", self.host_cost.init_seconds, category="host"
-                    )
-            self.integrator.initialise()
-            segments.extend(self._drain())
-            self._initialised = True
-        return segments
-
-    def run(self, n_cycles: int) -> SimulationResult:
-        """Advance ``n_cycles * dt`` of physical time in block updates."""
-        if n_cycles <= 0:
-            raise ConfigurationError(
-                f"n_cycles must be positive, got {n_cycles}"
-            )
-        trace = self.trace
-        run_span = (
-            trace.span(
-                "simulation.run", category="sim", n=self.system.n,
-                n_cycles=n_cycles, backend=self.backend.name,
-                integrator=self.name,
-            )
-            if trace is not None else nullcontext()
-        )
-        with run_span:
-            timeline: list[TimelineSegment] = []
-            if not self._initialised:
-                timeline.extend(self.initialise())
-            t_end = self.system.time + n_cycles * self.dt
-            records: list[CycleRecord] = []
-            per_particle = self.host_cost.seconds_per_particle_cycle
-            index = 0
-            while self.integrator.next_block_time() <= t_end:
-                t_before = self.system.time
-                block_span = (
-                    trace.span("block", category="sim", index=index)
-                    if trace is not None else nullcontext()
-                )
-                with block_span:
-                    # host halves priced per phase: the predictor touches
-                    # every particle, the corrector only the active block
-                    predict_s = 0.5 * per_particle * self.system.n
-                    if trace is not None and predict_s > 0.0:
-                        trace.add_span("predict", predict_s, category="host")
-                    n_active = self.integrator.step_block()
-                    correct_s = 0.5 * per_particle * n_active
-                    if trace is not None and correct_s > 0.0:
-                        trace.add_span("correct", correct_s, category="host")
-                segments = self._drain()
-                if per_particle > 0.0:
-                    segments = (
-                        [TimelineSegment("host", predict_s, "predict")]
-                        + segments
-                        + [TimelineSegment("host", correct_s, "correct")]
-                    )
-                timeline.extend(segments)
-                records.append(CycleRecord(
-                    index=index,
-                    time=self.system.time,
-                    dt=self.system.time - t_before,
-                    model_seconds=sum(s.seconds for s in segments),
-                ))
-                index += 1
-            self.integrator.synchronise()
-        return SimulationResult(
-            system=self.system,
-            cycles=records,
-            timeline=timeline,
-            backend_name=self.backend.name,
-        )
-
-
-class LeapfrogDriver:
-    """Fixed-step KDK leapfrog over any force backend, RunSpec-shaped.
-
-    The numerical step is :func:`~repro.core.leapfrog.leapfrog_step`
-    verbatim; this driver adds the timeline/Scope bookkeeping the other
-    registered integrators provide, so ``run(n_cycles)`` returns a full
-    :class:`SimulationResult`.  Jerk-free: backends still return jerk,
-    which is ignored.
-    """
-
-    name = "leapfrog"
-
-    def __init__(
-        self,
-        system: "ParticleSystem",
-        backend: Any,
-        *,
-        dt: float | None,
-        host_cost: HostCostModel,
-        trace: Any = None,
-    ) -> None:
-        self.dt = _require_dt(dt, self.name)
-        self.system = system
-        self.backend = backend
-        self.host_cost = host_cost
-        self.trace = trace
-        self._backend_traced = trace is not None and accepts_trace(backend)
-        if self._backend_traced:
-            backend.trace = trace
-        self._initialised = False
-        self._last_segments: tuple[TimelineSegment, ...] = ()
-
-    def _evaluate_acc(self, pos, vel):
-        evaluation = self.backend.compute(pos, vel, self.system.mass)
-        if self.trace is not None and not self._backend_traced:
-            for seg in evaluation.segments:
-                self.trace.add_span(
-                    seg.detail or seg.tag, seg.seconds, category=seg.tag
-                )
-        self._last_segments = evaluation.segments
-        return evaluation.acc
-
-    def initialise(self) -> list[TimelineSegment]:
-        """Initial acceleration evaluation (and host init cost)."""
-        trace = self.trace
-        span = (
-            trace.span("initialise", category="sim")
-            if trace is not None else nullcontext()
-        )
-        with span:
-            segments: list[TimelineSegment] = []
-            if self.host_cost.init_seconds > 0.0:
-                segments.append(
-                    TimelineSegment("host", self.host_cost.init_seconds, "init")
-                )
-                if trace is not None:
-                    trace.add_span(
-                        "init", self.host_cost.init_seconds, category="host"
-                    )
-            self.system.acc = self._evaluate_acc(
-                self.system.pos, self.system.vel
-            )
-            segments.extend(self._last_segments)
-            self._initialised = True
-        return segments
-
-    def run(self, n_cycles: int) -> SimulationResult:
-        """Advance ``n_cycles`` KDK steps."""
-        if n_cycles <= 0:
-            raise ConfigurationError(
-                f"n_cycles must be positive, got {n_cycles}"
-            )
-        trace = self.trace
-        run_span = (
-            trace.span(
-                "simulation.run", category="sim", n=self.system.n,
-                n_cycles=n_cycles, backend=self.backend.name,
-                integrator=self.name,
-            )
-            if trace is not None else nullcontext()
-        )
-        with run_span:
-            timeline: list[TimelineSegment] = []
-            if not self._initialised:
-                timeline.extend(self.initialise())
-            records: list[CycleRecord] = []
-            s = self.system
-            for index in range(n_cycles):
-                cycle_segments = list(self.host_cost.cycle_segments(s.n))
-                half_s = cycle_segments[0].seconds if cycle_segments else 0.0
-                cycle_span = (
-                    trace.span("cycle", category="sim", index=index,
-                               dt=self.dt)
-                    if trace is not None else nullcontext()
-                )
-                with cycle_span:
-                    if trace is not None:
-                        trace.add_span("predict", half_s, category="host")
-                    force_span = (
-                        trace.span("force", category="sim",
-                                   backend=self.backend.name)
-                        if trace is not None else nullcontext()
-                    )
-                    with force_span:
-                        s.pos, s.vel, s.acc = leapfrog_step(
-                            s.pos, s.vel, s.acc, self.dt, self._evaluate_acc
-                        )
-                    if trace is not None:
-                        trace.add_span("correct", half_s, category="host")
-                s.time += self.dt
-                s.check_finite()
-                if cycle_segments:
-                    segments = (
-                        [cycle_segments[0]]
-                        + list(self._last_segments)
-                        + [cycle_segments[1]]
-                    )
-                else:
-                    segments = list(self._last_segments)
-                timeline.extend(segments)
-                records.append(CycleRecord(
-                    index=index,
-                    time=s.time,
-                    dt=self.dt,
-                    model_seconds=sum(seg.seconds for seg in segments),
-                ))
-        return SimulationResult(
-            system=self.system,
-            cycles=records,
-            timeline=timeline,
-            backend_name=self.backend.name,
-        )
-
-
 # --------------------------------------------------------------------------
 # Built-in integrators
 # --------------------------------------------------------------------------
@@ -561,40 +236,31 @@ def _validate_positive(value: float) -> str | None:
 
 def _make_hermite(system, backend, *, dt, adaptive, host_cost, trace,
                   eta, eta_start, dt_min, dt_max, criterion):
-    if adaptive:
-        timestep = SharedTimestep(
-            eta=eta, eta_start=eta_start, dt_min=dt_min, dt_max=dt_max,
-            criterion=criterion,
-        )
+    if not adaptive:
         return HermiteIntegrator(
-            system, backend, timestep=timestep, host_cost=host_cost,
-            trace=trace,
+            system, backend, dt=dt, host_cost=host_cost, trace=trace
         )
-    _require_dt(dt, "hermite")
+    timestep = SharedTimestep(
+        eta=eta, eta_start=eta_start, dt_min=dt_min, dt_max=dt_max,
+        criterion=criterion,
+    )
     return HermiteIntegrator(
-        system, backend, dt=dt, host_cost=host_cost, trace=trace
+        system, backend, timestep=timestep, host_cost=host_cost, trace=trace,
     )
 
 
-def _make_block_hermite(system, backend, *, dt, adaptive, host_cost, trace,
-                        eta, eta_start, dt_max, block_levels):
+def _make_block_hermite(system, backend, *, adaptive, **options):
     # the block scheme is per-particle adaptive by construction; the
     # shared `adaptive` flag has nothing extra to switch on
-    return BlockHermiteDriver(
-        system, backend, dt=dt, host_cost=host_cost, trace=trace,
-        eta=eta, eta_start=eta_start, dt_max=dt_max,
-        block_levels=block_levels,
-    )
+    return BlockHermiteIntegrator(system, backend, **options)
 
 
-def _make_leapfrog(system, backend, *, dt, adaptive, host_cost, trace):
+def _make_leapfrog(system, backend, *, adaptive, **options):
     if adaptive:
         raise ConfigurationError(
             "leapfrog is fixed-step; adaptive timestepping is not supported"
         )
-    return LeapfrogDriver(
-        system, backend, dt=dt, host_cost=host_cost, trace=trace
-    )
+    return LeapfrogDriver(system, backend, **options)
 
 
 _ETA_OPTIONS = (

@@ -14,13 +14,19 @@ Wormhole offload) drive both integrators.
 
 from __future__ import annotations
 
+import itertools
+from typing import TYPE_CHECKING, Iterator
+
 import numpy as np
 
 from ..errors import ConfigurationError
 from .particles import ParticleSystem
-from .simulation import ForceBackend, TimelineSegment
+from .simulation import Driver, ForceBackend, HostCostModel, _require_dt
 
-__all__ = ["leapfrog_step", "LeapfrogSimulation"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..observability import Trace
+
+__all__ = ["leapfrog_step", "LeapfrogDriver"]
 
 
 def leapfrog_step(pos, vel, acc, dt, evaluate_acc):
@@ -34,38 +40,34 @@ def leapfrog_step(pos, vel, acc, dt, evaluate_acc):
     return pos1, vel1, acc1
 
 
-class LeapfrogSimulation:
-    """Fixed-step KDK integration over any force backend."""
+class LeapfrogDriver(Driver):
+    """Fixed-step KDK leapfrog over any force backend (``"leapfrog"``)."""
 
-    def __init__(self, system: ParticleSystem, backend: ForceBackend,
-                 *, dt: float) -> None:
-        if dt <= 0 or not np.isfinite(dt):
-            raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-        self.system = system
-        self.backend = backend
-        self.dt = dt
-        self._initialised = False
-        self.timeline: list[TimelineSegment] = []
-        self.force_evaluations = 0
+    name = "leapfrog"
 
-    def _evaluate_acc(self, pos, vel):
-        evaluation = self.backend.compute(pos, vel, self.system.mass)
-        self.timeline.extend(evaluation.segments)
-        self.force_evaluations += 1
-        return evaluation.acc
+    def __init__(
+        self,
+        system: ParticleSystem,
+        backend: ForceBackend,
+        *,
+        dt: float | None,
+        host_cost: HostCostModel = HostCostModel(),
+        trace: "Trace | None" = None,
+    ) -> None:
+        self.dt = _require_dt(dt, self.name)
+        super().__init__(system, backend, host_cost=host_cost, trace=trace)
 
-    def run(self, n_steps: int) -> ParticleSystem:
-        """Advance the system by ``n_steps`` kick-drift-kick steps."""
-        if n_steps <= 0:
-            raise ConfigurationError(f"n_steps must be positive, got {n_steps}")
-        if not self._initialised:
-            self.system.acc = self._evaluate_acc(self.system.pos, self.system.vel)
-            self._initialised = True
-        pos, vel, acc = self.system.pos, self.system.vel, self.system.acc
-        for _ in range(n_steps):
-            pos, vel, acc = leapfrog_step(pos, vel, acc, self.dt,
-                                          self._evaluate_acc)
-            self.system.time += self.dt
-        self.system.pos, self.system.vel, self.system.acc = pos, vel, acc
-        self.system.check_finite()
-        return self.system
+    def _first_evaluation(self) -> None:
+        s = self.system
+        s.acc = self._force(s.pos, s.vel).acc
+
+    def _step_sizes(self, n_cycles: int) -> Iterator[float]:
+        return itertools.repeat(self.dt, n_cycles)
+
+    def _step(self, dt: float) -> int:
+        s = self.system
+        s.pos, s.vel, s.acc = leapfrog_step(
+            s.pos, s.vel, s.acc, dt, lambda pos, vel: self._force(pos, vel).acc
+        )
+        s.time += dt
+        return s.n

@@ -17,18 +17,18 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-# the protocol now lives in the backends layer (its dependency-free floor);
-# re-exported here so `from repro.core.simulation import ForceBackend, ...`
-# keeps working for existing callers
+# the protocol lives in the backends layer (its dependency-free floor);
+# re-exported for `from repro.core.simulation import ForceBackend, ...`
 from ..backends.protocol import (
     ForceBackend,
     ForceEvaluation,
     TimelineSegment,
     accepts_trace,
+    compute_on_targets,
 )
 from ..errors import ConfigurationError
 from .hermite import correct, predict
@@ -47,6 +47,7 @@ __all__ = [
     "HostCostModel",
     "CycleRecord",
     "SimulationResult",
+    "Driver",
     "HermiteIntegrator",
     "Simulation",
 ]
@@ -100,16 +101,6 @@ class HostCostModel:
     seconds_per_particle_cycle: float = 0.0
     init_seconds: float = 0.0
 
-    def cycle_segments(self, n: int) -> tuple[TimelineSegment, ...]:
-        """The predict/correct host segments for one cycle of ``n`` bodies."""
-        if self.seconds_per_particle_cycle <= 0.0:
-            return ()
-        half = 0.5 * self.seconds_per_particle_cycle * n
-        return (
-            TimelineSegment("host", half, "predict"),
-            TimelineSegment("host", half, "correct"),
-        )
-
 
 @dataclass(frozen=True)
 class CycleRecord:
@@ -143,13 +134,169 @@ class SimulationResult:
         return out
 
 
-class HermiteIntegrator:
-    """Shared-step Hermite integration of a particle system over a backend.
+class _NoTrace:
+    """The loop's stand-in for a missing trace: every span is a no-op."""
 
-    This is the loop that historically *was* :class:`Simulation`; it is
-    registered as ``"hermite"`` in :mod:`repro.core.integrators`, and
-    :class:`Simulation` now resolves any registered integrator and
-    delegates here by default.
+    def span(self, name: str, **attributes) -> nullcontext:
+        return nullcontext()
+
+    def add_span(self, name: str, duration_s: float, **attributes) -> None:
+        pass
+
+
+def _require_dt(dt: float | None, name: str) -> float:
+    if dt is None or dt <= 0 or not np.isfinite(dt):
+        raise ConfigurationError(
+            f"integrator {name!r} needs a positive finite dt, got {dt}"
+        )
+    return float(dt)
+
+
+class Driver:
+    """The predict-force-correct loop every integration scheme runs in.
+
+    The driver owns everything around the physics: the job timeline, the
+    host-cost pricing (predict ½·c·N, correct ½·c·N_active), one
+    :class:`CycleRecord` and one ``check_finite()`` per step, every Scope
+    span, and the backend call (:meth:`_force`, on the full set or on a
+    target subset through ``compute_on_targets``).  A scheme supplies
+    three hooks: :meth:`_first_evaluation`, :meth:`_step_sizes` and
+    :meth:`_step`.
+
+    A traced run narrates itself as ``simulation.run`` > ``cycle`` >
+    (``predict``, ``force``, ``correct``) per step, after ``initialise``
+    > (``init``, ``force``).  The trace is handed to the backend when it
+    accepts one (``TTForceBackend`` then adds Metalium and per-core device
+    spans under ``force``); otherwise the backend's timeline segments
+    become leaf spans.  ``trace=None`` costs the run nothing.
+    """
+
+    name = ""
+
+    def __init__(
+        self,
+        system: ParticleSystem,
+        backend: ForceBackend,
+        *,
+        host_cost: HostCostModel = HostCostModel(),
+        trace: "Trace | None" = None,
+    ) -> None:
+        self.system = system
+        self.backend = backend
+        self.host_cost = host_cost
+        # the backend still sees None when untraced: the multi-card
+        # backends fan cards out over threads only then
+        self.trace = trace
+        self._scope = trace if trace is not None else _NoTrace()
+        self._backend_traced = trace is not None and accepts_trace(backend)
+        if self._backend_traced:
+            backend.trace = trace  # type: ignore[attr-defined]
+        self._segments: list[TimelineSegment] = []
+        self._initialised = False
+
+    # -- the scheme's hooks ---------------------------------------------------
+
+    def _first_evaluation(self) -> None:
+        """Evaluate the initial forces through :meth:`_force`."""
+        raise NotImplementedError
+
+    def _step_sizes(self, n_cycles: int) -> Iterator[float]:
+        """The step sizes of ``run(n_cycles)``, read after each step."""
+        raise NotImplementedError
+
+    def _step(self, dt: float) -> int:
+        """Advance one step of ``dt``; return how many particles moved."""
+        raise NotImplementedError
+
+    # -- the loop ---------------------------------------------------------------
+
+    def _force(self, pos: np.ndarray, vel: np.ndarray,
+               targets: np.ndarray | None = None) -> ForceEvaluation:
+        """One backend evaluation, on ``targets`` only when given."""
+        mass = self.system.mass
+        extra = {} if targets is None else {"n_targets": len(targets)}
+        with self._scope.span(
+            "force", category="sim", backend=self.backend.name, **extra
+        ):
+            if targets is None:
+                evaluation = self.backend.compute(pos, vel, mass)
+            else:
+                evaluation = compute_on_targets(
+                    self.backend, pos, vel, mass, targets
+                )
+            if not self._backend_traced:
+                for seg in evaluation.segments:
+                    self._scope.add_span(
+                        seg.detail or seg.tag, seg.seconds, category=seg.tag
+                    )
+        self._segments.extend(evaluation.segments)
+        return evaluation
+
+    def _drain(self) -> list[TimelineSegment]:
+        segments, self._segments = self._segments, []
+        return segments
+
+    def initialise(self) -> list[TimelineSegment]:
+        """Initial force evaluation (and host init cost)."""
+        init_s = self.host_cost.init_seconds
+        with self._scope.span("initialise", category="sim"):
+            segments: list[TimelineSegment] = []
+            if init_s > 0.0:
+                segments.append(TimelineSegment("host", init_s, "init"))
+                self._scope.add_span("init", init_s, category="host")
+            self._first_evaluation()
+            segments.extend(self._drain())
+            self._initialised = True
+        return segments
+
+    def run(self, n_cycles: int) -> SimulationResult:
+        """Run ``n_cycles`` cycles (``n_cycles * dt`` of physical time)."""
+        if n_cycles <= 0:
+            raise ConfigurationError(f"n_cycles must be positive, got {n_cycles}")
+        scope = self._scope
+        per_particle = self.host_cost.seconds_per_particle_cycle
+        timeline: list[TimelineSegment] = []
+        records: list[CycleRecord] = []
+        with scope.span(
+            "simulation.run", category="sim", n=self.system.n,
+            n_cycles=n_cycles, backend=self.backend.name,
+            integrator=self.name,
+        ):
+            if not self._initialised:
+                timeline.extend(self.initialise())
+            for index, dt in enumerate(self._step_sizes(n_cycles)):
+                # the predictor touches every particle, the corrector only
+                # the ones the step moved
+                predict_s = 0.5 * per_particle * self.system.n
+                with scope.span("cycle", category="sim", index=index, dt=dt):
+                    scope.add_span("predict", predict_s, category="host")
+                    correct_s = 0.5 * per_particle * self._step(dt)
+                    scope.add_span("correct", correct_s, category="host")
+                self.system.check_finite()
+                segments = self._drain()
+                if per_particle > 0.0:
+                    segments = (
+                        [TimelineSegment("host", predict_s, "predict")]
+                        + segments
+                        + [TimelineSegment("host", correct_s, "correct")]
+                    )
+                timeline.extend(segments)
+                records.append(CycleRecord(
+                    index=index,
+                    time=self.system.time,
+                    dt=dt,
+                    model_seconds=sum(s.seconds for s in segments),
+                ))
+        return SimulationResult(
+            system=self.system,
+            cycles=records,
+            timeline=timeline,
+            backend_name=self.backend.name,
+        )
+
+
+class HermiteIntegrator(Driver):
+    """Shared-step 4th-order Hermite, registered as ``"hermite"``.
 
     Parameters
     ----------
@@ -160,17 +307,12 @@ class HermiteIntegrator:
     dt:
         Fixed shared timestep; mutually exclusive with ``timestep``.
     timestep:
-        Adaptive :class:`SharedTimestep` scheme.
+        Adaptive :class:`SharedTimestep` scheme.  It uses the startup
+        criterion until the integrator has corrected a step of its own.
     host_cost:
         Modelled cost of host-resident work (zero for pure-physics runs).
     trace:
-        Optional :class:`~repro.observability.Trace` ("Scope").  When
-        given, the run narrates itself as spans — ``simulation.run`` /
-        ``initialise`` / per-cycle ``cycle`` with ``predict`` / ``force``
-        / ``correct`` children — and the trace is handed to the backend
-        when it accepts one (``TTForceBackend`` then adds Metalium and
-        per-core device spans underneath ``force``).  ``None`` (the
-        default) costs the run nothing.
+        Optional :class:`~repro.observability.Trace` ("Scope").
     """
 
     name = "hermite"
@@ -189,177 +331,51 @@ class HermiteIntegrator:
             raise ConfigurationError(
                 "exactly one of dt= or timestep= must be given"
             )
-        if dt is not None and (dt <= 0 or not np.isfinite(dt)):
-            raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-        self.system = system
-        self.backend = backend
+        if dt is not None:
+            _require_dt(dt, self.name)
+        super().__init__(system, backend, host_cost=host_cost, trace=trace)
         self.fixed_dt = dt
         self.timestep = timestep
-        self.host_cost = host_cost
-        self.trace = trace
-        #: backends on the TracedForceBackend side of the contract
-        #: (TTForceBackend, ShardedTTBackend) narrate their own
-        #: Metalium/device spans; for the rest the driver converts the
-        #: evaluation's timeline segments into leaf spans itself
-        self._backend_traced = trace is not None and accepts_trace(backend)
-        if self._backend_traced:
-            backend.trace = trace  # type: ignore[attr-defined]
-        self._initialised = False
-        self._snap = np.zeros_like(system.pos)
-        self._crackle = np.zeros_like(system.pos)
+        # snap and crackle of the last corrected step (None before one)
+        self._snap: np.ndarray | None = None
+        self._crackle: np.ndarray | None = None
 
-    def _trace_evaluation(self, evaluation: ForceEvaluation) -> None:
-        """Add an untraced backend's segments as leaf spans (traced runs)."""
-        assert self.trace is not None
-        if not self._backend_traced:
-            for seg in evaluation.segments:
-                self.trace.add_span(
-                    seg.detail or seg.tag, seg.seconds, category=seg.tag
-                )
+    def _first_evaluation(self) -> None:
+        s = self.system
+        evaluation = self._force(s.pos, s.vel)
+        s.acc, s.jerk = evaluation.acc, evaluation.jerk
 
-    def initialise(self) -> list[TimelineSegment]:
-        """Initial force evaluation (and host init cost)."""
-        trace = self.trace
-        span = (
-            trace.span("initialise", category="sim")
-            if trace is not None else nullcontext()
-        )
-        with span:
-            segments: list[TimelineSegment] = []
-            if self.host_cost.init_seconds > 0.0:
-                segments.append(
-                    TimelineSegment("host", self.host_cost.init_seconds, "init")
-                )
-                if trace is not None:
-                    trace.add_span(
-                        "init", self.host_cost.init_seconds, category="host"
-                    )
-            evaluation = self.backend.compute(
-                self.system.pos, self.system.vel, self.system.mass
-            )
-            if trace is not None:
-                self._trace_evaluation(evaluation)
-            self.system.acc = evaluation.acc
-            self.system.jerk = evaluation.jerk
-            segments.extend(evaluation.segments)
-            self._initialised = True
-        return segments
-
-    def _choose_dt(self, first: bool) -> float:
-        if self.fixed_dt is not None:
-            return self.fixed_dt
-        assert self.timestep is not None
-        if first:
-            return self.timestep.first(self.system.acc, self.system.jerk)
-        return self.timestep.next(
-            self.system.acc, self.system.jerk, self._snap, self._crackle
-        )
-
-    def run(self, n_cycles: int) -> SimulationResult:
-        """Advance ``n_cycles`` Hermite cycles and return the result."""
-        if n_cycles <= 0:
-            raise ConfigurationError(f"n_cycles must be positive, got {n_cycles}")
-        trace = self.trace
-        run_span = (
-            trace.span(
-                "simulation.run", category="sim", n=self.system.n,
-                n_cycles=n_cycles, backend=self.backend.name,
-            )
-            if trace is not None else nullcontext()
-        )
-        with run_span:
-            timeline, records = self._run_cycles(n_cycles, trace)
-        return SimulationResult(
-            system=self.system,
-            cycles=records,
-            timeline=timeline,
-            backend_name=self.backend.name,
-        )
-
-    def _run_cycles(
-        self, n_cycles: int, trace: "Trace | None"
-    ) -> tuple[list[TimelineSegment], list[CycleRecord]]:
-        """The predict-evaluate-correct loop (inside the run span)."""
-        timeline: list[TimelineSegment] = []
-        if not self._initialised:
-            timeline.extend(self.initialise())
-        records: list[CycleRecord] = []
-
-        for index in range(n_cycles):
-            dt = self._choose_dt(first=(index == 0 and self.fixed_dt is None))
-            cycle_segments = list(self.host_cost.cycle_segments(self.system.n))
-            half_s = cycle_segments[0].seconds if cycle_segments else 0.0
-            cycle_span = (
-                trace.span("cycle", category="sim", index=index, dt=dt)
-                if trace is not None else nullcontext()
-            )
-            with cycle_span:
-                # predictor (host, float64)
-                if trace is not None:
-                    trace.add_span("predict", half_s, category="host")
-                pos_p, vel_p = predict(
-                    self.system.pos, self.system.vel,
-                    self.system.acc, self.system.jerk, dt,
-                )
-                # force evaluation (backend; the offloaded part)
-                force_span = (
-                    trace.span(
-                        "force", category="sim", backend=self.backend.name
-                    )
-                    if trace is not None else nullcontext()
-                )
-                with force_span:
-                    evaluation = self.backend.compute(
-                        pos_p, vel_p, self.system.mass
-                    )
-                    if trace is not None:
-                        self._trace_evaluation(evaluation)
-                # corrector (host, float64)
-                step = correct(
-                    self.system.pos, self.system.vel,
-                    self.system.acc, self.system.jerk,
-                    evaluation.acc, evaluation.jerk, dt,
-                )
-                if trace is not None:
-                    trace.add_span("correct", half_s, category="host")
-            self.system.pos = step.pos
-            self.system.vel = step.vel
-            self.system.acc = step.acc
-            self.system.jerk = step.jerk
-            self._snap = step.snap
-            self._crackle = step.crackle
-            self.system.time += dt
-            self.system.check_finite()
-
-            # interleave host halves around the backend segments
-            if cycle_segments:
-                segments = (
-                    [cycle_segments[0]]
-                    + list(evaluation.segments)
-                    + [cycle_segments[1]]
-                )
+    def _step_sizes(self, n_cycles: int) -> Iterator[float]:
+        s = self.system
+        for _ in range(n_cycles):
+            if self.timestep is None:
+                yield self.fixed_dt
+            elif self._snap is None:
+                yield self.timestep.first(s.acc, s.jerk)
             else:
-                segments = list(evaluation.segments)
-            timeline.extend(segments)
-            records.append(
-                CycleRecord(
-                    index=index,
-                    time=self.system.time,
-                    dt=dt,
-                    model_seconds=sum(s.seconds for s in segments),
+                yield self.timestep.next(
+                    s.acc, s.jerk, self._snap, self._crackle
                 )
-            )
-        return timeline, records
+
+    def _step(self, dt: float) -> int:
+        s = self.system
+        pos_p, vel_p = predict(s.pos, s.vel, s.acc, s.jerk, dt)
+        evaluation = self._force(pos_p, vel_p)
+        step = correct(
+            s.pos, s.vel, s.acc, s.jerk, evaluation.acc, evaluation.jerk, dt
+        )
+        s.pos, s.vel, s.acc, s.jerk = step.pos, step.vel, step.acc, step.jerk
+        self._snap, self._crackle = step.snap, step.crackle
+        s.time += dt
+        return s.n
 
 
 class Simulation:
-    """A thin driver over the integrator registry.
+    """A thin front end over the integrator registry.
 
-    ``Simulation(system, backend, dt=...)`` behaves exactly as it always
-    did (shared-step Hermite), but the loop itself now lives in
-    :class:`HermiteIntegrator` and ``integrator=`` selects any scheme
-    registered in :mod:`repro.core.integrators` — a name
-    (``"block-hermite"``) or an
+    ``Simulation(system, backend, dt=...)`` runs shared-step Hermite;
+    ``integrator=`` selects any scheme registered in
+    :mod:`repro.core.integrators` — a name (``"block-hermite"``) or an
     :class:`~repro.core.integrators.IntegratorSpec` with options.  The
     chosen integrator is built once in the constructor; ``initialise``
     and ``run`` delegate to it.

@@ -6,10 +6,12 @@ import pytest
 from repro.core.block_hermite import BlockHermiteIntegrator
 from repro.core.energy import energy_report
 from repro.core.forces import accel_jerk_on_targets, accel_jerk_reference
+from repro.core.hermite import correct
 from repro.core.initial_conditions import binary, plummer
-from repro.core.leapfrog import LeapfrogSimulation, leapfrog_step
+from repro.core.leapfrog import LeapfrogDriver, leapfrog_step
 from repro.core.simulation import ReferenceBackend, Simulation
 from repro.errors import ConfigurationError, NBodyError
+from repro.observability import Trace
 
 
 class TestAccelJerkOnTargets:
@@ -42,9 +44,9 @@ class TestBlockHermite:
     def test_energy_conservation(self):
         s = plummer(256, seed=3)
         e0 = energy_report(s)
-        integ = BlockHermiteIntegrator(s, eta=0.01, eta_start=0.005)
-        integ.run_until(0.25)
-        integ.synchronise()
+        BlockHermiteIntegrator(
+            s, ReferenceBackend(), dt=0.25, eta=0.01, eta_start=0.005
+        ).run(1)
         assert energy_report(s).drift_from(e0) < 1e-7
 
     def test_momentum_conservation(self):
@@ -53,9 +55,7 @@ class TestBlockHermite:
         drifts at the truncation level, not round-off."""
         s = plummer(128, seed=4)
         p0 = (s.mass[:, None] * s.vel).sum(axis=0)
-        integ = BlockHermiteIntegrator(s, eta=0.02)
-        integ.run_until(0.2)
-        integ.synchronise()
+        BlockHermiteIntegrator(s, ReferenceBackend(), dt=0.2, eta=0.02).run(1)
         p1 = (s.mass[:, None] * s.vel).sum(axis=0)
         assert np.allclose(p0, p1, atol=1e-6)
         assert not np.allclose(p0, p1, atol=1e-12)  # genuinely block-paired
@@ -64,28 +64,31 @@ class TestBlockHermite:
         """The point of block steps: far fewer pairwise evaluations than a
         shared-step run resolving the same fastest particle."""
         s = plummer(256, seed=5)
-        integ = BlockHermiteIntegrator(s, eta=0.01, eta_start=0.005)
-        integ.run_until(0.2)
+        integ = BlockHermiteIntegrator(
+            s, ReferenceBackend(), dt=0.2, eta=0.01, eta_start=0.005
+        )
+        integ.run(1)
         shared_equivalent = integ.stats.block_steps * s.n * s.n
         assert integ.stats.force_pair_evaluations < shared_equivalent / 4
 
     def test_levels_form_a_hierarchy(self):
         s = plummer(256, seed=6)
-        integ = BlockHermiteIntegrator(s, eta=0.01)
-        integ.run_until(0.1)
+        integ = BlockHermiteIntegrator(s, ReferenceBackend(), dt=0.1, eta=0.01)
+        integ.run(1)
         levels = sorted(integ.stats.level_histogram)
         assert len(levels) >= 3  # genuinely multi-rate
         assert all(level >= 0 for level in levels)
 
     def test_block_times_stay_on_hierarchy(self):
         s = plummer(64, seed=7)
-        integ = BlockHermiteIntegrator(s, dt_max=0.0625)
-        integ.initialise()
-        for _ in range(40):
-            integ.step_block()
+        integ = BlockHermiteIntegrator(
+            s, ReferenceBackend(), dt=0.25, dt_max=0.0625
+        )
+        cycles = integ.run(1).cycles
+        assert len(cycles) >= 40
+        for record in cycles:
             # time is an exact multiple of the finest active level
-            t = s.time
-            ratio = t / (0.0625 / 2.0**40)
+            ratio = record.time / (0.0625 / 2.0**40)
             assert abs(ratio - round(ratio)) < 1e-6
 
     def test_binary_gets_finer_steps_than_field(self):
@@ -94,33 +97,76 @@ class TestBlockHermite:
         from repro.core.initial_conditions import cluster_with_binary
 
         s = cluster_with_binary(126, seed=8, semi_major_axis=0.002)
-        integ = BlockHermiteIntegrator(s, eta=0.02, eta_start=0.01)
+        integ = BlockHermiteIntegrator(
+            s, ReferenceBackend(), dt=1e-3, eta=0.02, eta_start=0.01
+        )
         integ.initialise()
         binary_levels = integ._level[:2]
         field_levels = integ._level[2:]
         assert binary_levels.min() > np.median(field_levels) + 2
 
-    def test_run_until_validation(self):
+    def test_block_members_corrected_over_their_own_intervals(self):
+        """Particles due together at levels 30 and 29 were last updated
+        2^-34 and 2^-33 ago; each must be corrected over its own interval,
+        not merged into one because the two differ by less than 1e-8."""
+        s = plummer(8, seed=0)
+        integ = BlockHermiteIntegrator(s, ReferenceBackend(), dt=2.0**-34)
+        integ.initialise()
+        t_block = 1.0
+        integ._level[:] = 0
+        integ._t[:] = t_block - 0.03125  # due later, at t_block + 0.03125
+        integ._level[:2] = [30, 29]
+        integ._t[:2] = [t_block - 2.0**-34, t_block - 2.0**-33]
+        s.time = t_block - 2.0**-34
+        start = s.copy()
+
+        # predict every particle to the block time; forces on the block
+        interval = (t_block - integ._t)[:, None]
+        pos_p = (start.pos + interval * start.vel
+                 + interval**2 / 2.0 * start.acc
+                 + interval**3 / 6.0 * start.jerk)
+        vel_p = (start.vel + interval * start.acc
+                 + interval**2 / 2.0 * start.jerk)
+        forces = ReferenceBackend().compute_on_targets(
+            pos_p, vel_p, s.mass, np.array([0, 1])
+        )
+        expected = [
+            correct(start.pos[[i]], start.vel[[i]], start.acc[[i]],
+                    start.jerk[[i]], forces.acc[[i]], forces.jerk[[i]],
+                    float(interval[i, 0]))
+            for i in (0, 1)
+        ]
+
+        cycles = integ.run(1).cycles
+        assert [c.time for c in cycles] == [t_block]
+        for i in (0, 1):
+            assert np.array_equal(s.pos[i], expected[i].pos[0])
+            assert np.array_equal(s.vel[i], expected[i].vel[0])
+
+    def test_run_validation(self):
         s = plummer(32, seed=9)
-        integ = BlockHermiteIntegrator(s)
+        integ = BlockHermiteIntegrator(s, ReferenceBackend(), dt=1e-3)
         with pytest.raises(ConfigurationError):
-            integ.run_until(0.0)
+            integ.run(0)
 
     def test_constructor_validation(self):
         s = plummer(32, seed=10)
+        backend = ReferenceBackend()
         with pytest.raises(ConfigurationError):
-            BlockHermiteIntegrator(s, eta=-1.0)
+            BlockHermiteIntegrator(s, backend, dt=1e-3, eta=-1.0)
         with pytest.raises(ConfigurationError):
-            BlockHermiteIntegrator(s, dt_max=0.0)
+            BlockHermiteIntegrator(s, backend, dt=1e-3, dt_max=0.0)
+        with pytest.raises(ConfigurationError):
+            BlockHermiteIntegrator(s, backend, dt=0.0)
 
     def test_matches_shared_step_trajectory(self):
         """On a short window the block scheme tracks the shared-step
         Hermite solution."""
         s_block = plummer(128, seed=11)
         s_shared = s_block.copy()
-        integ = BlockHermiteIntegrator(s_block, eta=0.005, eta_start=0.0025)
-        integ.run_until(0.05)
-        integ.synchronise()
+        BlockHermiteIntegrator(
+            s_block, ReferenceBackend(), dt=0.05, eta=0.005, eta_start=0.0025
+        ).run(1)
         t_end = s_block.time
         n_steps = 200
         Simulation(s_shared, ReferenceBackend(), dt=t_end / n_steps).run(n_steps)
@@ -183,7 +229,7 @@ class TestLeapfrog:
         e0 = energy_report(s_lf)
         n_steps = 50
         dt = 2e-3
-        LeapfrogSimulation(s_lf, ReferenceBackend(), dt=dt).run(n_steps)
+        LeapfrogDriver(s_lf, ReferenceBackend(), dt=dt).run(n_steps)
         Simulation(s_h, ReferenceBackend(), dt=dt).run(n_steps)
         err_lf = energy_report(s_lf).drift_from(e0)
         err_h = energy_report(s_h).drift_from(e0)
@@ -197,18 +243,18 @@ class TestLeapfrog:
         s = plummer(1024, seed=13)
         e0 = energy_report(s)
         device = CreateDevice(0)
-        sim = LeapfrogSimulation(
-            s, TTForceBackend(device, n_cores=2), dt=1e-3
-        )
-        sim.run(5)
+        trace = Trace()
+        result = LeapfrogDriver(
+            s, TTForceBackend(device, n_cores=2), dt=1e-3, trace=trace
+        ).run(5)
         assert energy_report(s).drift_from(e0) < 1e-4
-        assert sim.force_evaluations == 6  # init + 5 steps
-        assert any(seg.tag == "device" for seg in sim.timeline)
+        assert len(trace.find("force")) == 6  # init + 5 steps
+        assert any(seg.tag == "device" for seg in result.timeline)
 
     def test_validation(self):
         s = plummer(16, seed=14)
         with pytest.raises(ConfigurationError):
-            LeapfrogSimulation(s, ReferenceBackend(), dt=0.0)
-        sim = LeapfrogSimulation(s, ReferenceBackend(), dt=0.01)
+            LeapfrogDriver(s, ReferenceBackend(), dt=0.0)
+        sim = LeapfrogDriver(s, ReferenceBackend(), dt=0.01)
         with pytest.raises(ConfigurationError):
             sim.run(0)

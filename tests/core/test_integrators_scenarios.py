@@ -77,7 +77,9 @@ class TestPowerOfTwoDtMax:
         from repro.core import plummer
 
         with pytest.raises(ConfigurationError, match="power of two"):
-            BlockHermiteIntegrator(plummer(8, seed=0), dt_max=bad)
+            BlockHermiteIntegrator(
+                plummer(8, seed=0), ReferenceBackend(), dt=1e-3, dt_max=bad
+            )
 
     @pytest.mark.parametrize("good", [0.0625, 0.5, 1.0, 2.0, 2.0**-10])
     def test_powers_of_two_accepted(self, good):
@@ -90,7 +92,9 @@ class TestPowerOfTwoDtMax:
         from repro.core import plummer
 
         with pytest.raises(ConfigurationError, match="positive"):
-            BlockHermiteIntegrator(plummer(8, seed=0), dt_max=0.0)
+            BlockHermiteIntegrator(
+                plummer(8, seed=0), ReferenceBackend(), dt=1e-3, dt_max=0.0
+            )
 
 
 class TestScenarioRegistry:

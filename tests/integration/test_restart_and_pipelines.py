@@ -106,27 +106,13 @@ class TestLongPipelines:
             SharedTimestep(criterion="magic")
 
     def test_block_integrator_with_mixed_precision_force(self):
-        """Block timesteps driven by a mixed-precision partial force (the
-        cpuref SIMD kernel restricted to the active set)."""
-        from repro.cpuref.simd import simd_accel_jerk
-
-        def mixed_partial(pos, vel, mass, targets):
-            # evaluate contiguous runs of targets through the SIMD kernel
-            acc = np.empty((targets.size, 3))
-            jerk = np.empty((targets.size, 3))
-            for k, t in enumerate(targets):
-                a, j = simd_accel_jerk(
-                    pos, vel, mass, i_slice=slice(int(t), int(t) + 1)
-                )
-                acc[k] = a[0]
-                jerk[k] = j[0]
-            return acc, jerk
+        """Block timesteps driven by a mixed-precision force: the cpu
+        backend runs the cpuref SIMD kernel on the active rows only."""
+        from repro.backends import make_backend
 
         s = plummer(128, seed=23)
         e0 = energy_report(s)
-        integ = BlockHermiteIntegrator(
-            s, eta=0.01, eta_start=0.005, partial_force=mixed_partial
-        )
-        integ.run_until(0.05)
-        integ.synchronise()
+        BlockHermiteIntegrator(
+            s, make_backend("cpu"), dt=0.05, eta=0.01, eta_start=0.005
+        ).run(1)
         assert energy_report(s).drift_from(e0) < 1e-5
