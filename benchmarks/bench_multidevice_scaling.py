@@ -16,7 +16,7 @@ four n300 cards; this bench runs those tests on the simulator:
   a 1-device run;
 * measured host wall clock next to the modelled device seconds, so the
   modelled concurrency claim can be compared against what the host
-  actually delivers under the sharded executor.
+  actually delivers with one thread per card.
 """
 
 import time
@@ -113,8 +113,8 @@ def test_multidevice_functional_equivalence(benchmark):
 
 def test_modelled_vs_measured_wall_clock(benchmark):
     """Modelled device seconds next to measured host wall clock, 1 vs 4
-    cards, so the scaling claims above stay anchored to what the host
-    executor actually delivers on this machine."""
+    cards, so the scaling claims above stay anchored to what the host's
+    per-card threads actually deliver on this machine."""
     n = 8192
     system = plummer(n, seed=11)
 
@@ -132,8 +132,6 @@ def test_modelled_vs_measured_wall_clock(benchmark):
             modelled_s = sum(
                 s.seconds for s in ev.segments if s.tag == "device"
             )
-            if hasattr(backend, "close"):
-                backend.close()
             out[cards] = {"modelled_s": modelled_s, "wall_s": wall_s}
         return out
 
@@ -148,8 +146,7 @@ def test_modelled_vs_measured_wall_clock(benchmark):
             f"measured {t['wall_s']:.4f} s host wall clock",
         )
     report.note("modelled time prices the simulated Wormhole cards; "
-                "measured time is this host driving the shard executor "
-                "(workers default: REPRO_SHARD_WORKERS or thread)")
+                "measured time is this host driving one thread per card")
     report.print()
 
     for t in times.values():

@@ -36,9 +36,8 @@ MODELLED_TIME_PACKAGES = frozenset({
     "metalium", "nbody_tt", "nbody_pm", "cpuref", "backends",
 })
 
-#: Layers whose code runs inside shard-executor workers (threads or
-#: forked processes): module-level mutable state there is a cross-thread
-#: race surface and a fork-divergence hazard.
+#: Layers whose code runs on the sharded backend's per-card threads:
+#: module-level mutable state there is a cross-thread race surface.
 WORKER_CONTEXT_PACKAGES = frozenset({"backends", "nbody_tt"})
 
 
@@ -756,9 +755,9 @@ class WorkerGlobalMutationRule(HostRule):
 
     rule_id = "RH010"
     severity = Severity.WARNING
-    hint = ("worker threads share this object and forked workers diverge "
-            "from it; move the state onto the executor/backend instance, "
-            "or guard it and suppress with a justification")
+    hint = ("worker threads share this object; move the state onto the "
+            "backend instance, or guard it and suppress with a "
+            "justification")
 
     def _module_mutables(self, unit: ModuleUnit) -> set[str]:
         names: set[str] = set()

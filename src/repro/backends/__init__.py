@@ -17,9 +17,8 @@ Three pieces:
 * :mod:`~repro.backends.sharded` — :class:`ShardedTTBackend`, the
   multi-card composite that shards i-particle blocks across simulated
   n300 cards and gathers over the Ethernet ring, bit-identical to the
-  single-card batched engine, with :mod:`~repro.backends.shardexec`
-  supplying the host executors (``serial`` | ``thread`` | ``process``)
-  that actually run the per-card shards concurrently.
+  single-card batched engine, running each card's shard on its own host
+  thread.
 """
 
 from .protocol import (
@@ -45,7 +44,6 @@ from .registry import (
 )
 from .runspec import RunSpec
 from .sharded import CardCost, ShardedTTBackend, shard_tiles
-from .shardexec import EXECUTOR_MODES, make_executor, resolve_workers
 from .variants import DSVariantBackend, MatmulVariantBackend
 
 __all__ = [
@@ -70,9 +68,6 @@ __all__ = [
     "CardCost",
     "ShardedTTBackend",
     "shard_tiles",
-    "EXECUTOR_MODES",
-    "make_executor",
-    "resolve_workers",
     "DSVariantBackend",
     "MatmulVariantBackend",
 ]

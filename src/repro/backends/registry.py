@@ -25,6 +25,7 @@ from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError, UnknownBackendError
 from .protocol import ForceBackend
+from .sharded import WORKER_MODES
 
 __all__ = [
     "BackendSpec",
@@ -190,7 +191,7 @@ def register_backend(
         raise ConfigurationError("backend name must be non-empty")
     entry = RegisteredBackend(name, factory, description, options, aliases)
     # repro-lint: disable=RH010 - registration happens at import time,
-    # before any shard worker forks; workers only read the registry.
+    # before any shard thread starts; threads only read the registry.
     _REGISTRY[name] = entry
     for alias in aliases:
         # repro-lint: disable=RH010 - same import-time-only write as above
@@ -325,6 +326,12 @@ def _make_cpu_pm(*, mesh: int, cutoff: float, softening: float
     )
 
 
+def _validate_workers(mode: str) -> str | None:
+    if mode not in WORKER_MODES:
+        return f"must be one of {WORKER_MODES}"
+    return None
+
+
 #: Options shared by the Wormhole-offload family.  ``cores`` defaults to 8
 #: — the single source of truth the CLI and every benchmark now share
 #: (`repro simulate --cores` used 8 while benchmarks ranged 2..64).
@@ -335,9 +342,9 @@ _TT_OPTIONS = (
     OptionSpec("fmt", str, "float32", "device data format"),
     OptionSpec("cb_buffering", int, 2, "j-stream CB depth in page groups"),
     OptionSpec("workers", str, None,
-               "host executor for the per-card fan-out when cards>1 "
-               "(serial | thread | process; default: REPRO_SHARD_WORKERS "
-               "or thread)"),
+               "host fan-out of the per-card shards when cards>1 "
+               f"({' | '.join(WORKER_MODES)}; default: thread)",
+               validate=_validate_workers),
 )
 
 register_backend(

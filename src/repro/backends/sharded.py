@@ -21,11 +21,17 @@ Guarantees:
   per-card phase/cost breakdown the CLI ``--profile`` report prints, and a
   traced run fans out one ``card`` span per child;
 * **honest interconnect cost** — the result gather is priced as a ring
-  allgather of the largest shard's contribution.
+  allgather of the largest shard's contribution;
+* **host concurrency** — each card's shard runs on its own host thread
+  (the native kernels release the GIL, so the cards overlap), or on the
+  calling thread with ``workers="serial"`` and whenever a Scope trace is
+  attached; the merge walks cards in ascending order either way, so the
+  result bits never depend on scheduling.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -37,12 +43,16 @@ from ..wormhole.dtypes import DataFormat
 from ..wormhole.ethernet import EthernetFabric
 from ..wormhole.tile import TILE_ELEMENTS, tiles_needed
 from .protocol import ForceEvaluation, TimelineSegment
-from .shardexec import make_executor, resolve_workers, run_card
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nbody_tt.offload import TTForceBackend
 
 __all__ = ["ShardedTTBackend", "CardCost", "shard_tiles"]
+
+#: Host fan-out of the per-card shards (the ``workers`` option): one
+#: thread per card (``thread``, the default) or the cards one after
+#: another on the calling thread (``serial``).
+WORKER_MODES = ("serial", "thread")
 
 
 def shard_tiles(n_tiles: int, n_cards: int) -> list[list[int]]:
@@ -116,6 +126,11 @@ class ShardedTTBackend:
                 f"sharding needs at least 2 cards, got {n_cards}; "
                 "use the plain tt backend for a single card"
             )
+        if workers not in (None, *WORKER_MODES):
+            raise ConfigurationError(
+                f"unknown shard workers mode {workers!r}; "
+                f"expected one of {WORKER_MODES}"
+            )
         fmt = DataFormat(fmt) if not isinstance(fmt, DataFormat) else fmt
         if devices is None:
             devices = [CreateDevice(card) for card in range(n_cards)]
@@ -123,8 +138,7 @@ class ShardedTTBackend:
             raise ConfigurationError(
                 f"got {len(devices)} devices for {n_cards} cards"
             )
-        #: one single-card backend per shard; children never gather on
-        #: their own (each holds exactly one device)
+        #: one single-card backend per shard
         self.children: list[TTForceBackend] = [
             TTForceBackend(
                 device, n_cores=n_cores, softening=softening, fmt=fmt,
@@ -137,17 +151,13 @@ class ShardedTTBackend:
         self.softening = softening
         self.fmt = fmt
         self.engine = self.children[0].engine
-        #: host executor mode (serial | thread | process); traced runs
-        #: always execute serially regardless of this setting
-        self.workers = resolve_workers(workers)
-        self._executor = None
+        #: host fan-out (serial | thread); traced runs always execute
+        #: serially regardless of this setting
+        self.workers = workers or "thread"
         self.fabric = EthernetFabric(n_cards, devices[0].chip)
         #: cross-timestep residency generation, forwarded to every card's
         #: tilize cache (see TTForceBackend.data_generation)
         self.data_generation: int | None = None
-        #: most recent per-card residency counters (worker-reported in
-        #: process mode, where the parent's children never compute)
-        self._card_residency: dict[int, dict[str, int]] = {}
         #: per-card accounting of the most recent evaluation
         self.last_card_costs: list[CardCost] = []
         self.name = (
@@ -188,32 +198,6 @@ class ShardedTTBackend:
         """The per-card command queues, in shard order."""
         return [child.queues[0] for child in self.children]
 
-    # -- host execution ----------------------------------------------------
-
-    def _get_executor(self):
-        if self._executor is None or self._executor.mode != self.workers:
-            if self._executor is not None:
-                self._executor.close()
-            self._executor = make_executor(self.workers, self.children)
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down any worker processes (no-op for serial/thread)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> "ShardedTTBackend":
-        """Context-manager support: ``with make_backend(...) as backend:``.
-
-        Guarantees :meth:`close` on exit, so a ``workers=process`` backend
-        can never leak its forked card workers past the ``with`` block.
-        """
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
     # -- cross-timestep residency ------------------------------------------
 
     def residency_counters(self) -> dict[str, int]:
@@ -223,10 +207,8 @@ class ShardedTTBackend:
             "tilize_cache_misses": 0,
             "upload_skipped_bytes": 0,
         }
-        for card, child in enumerate(self.children):
-            counters = self._card_residency.get(card)
-            if counters is None:
-                counters = child.residency_counters()
+        for child in self.children:
+            counters = child.residency_counters()
             for name in totals:
                 totals[name] += counters.get(name, 0)
         return totals
@@ -235,8 +217,6 @@ class ShardedTTBackend:
         """Force every card to re-tilize and re-upload on the next call."""
         for child in self.children:
             child.invalidate_residency()
-        if self._executor is not None:
-            self._executor.invalidate()
 
     def _sync_residency_metrics(self) -> None:
         trace = self._trace
@@ -257,10 +237,10 @@ class ShardedTTBackend:
         The common engine under :meth:`compute` (all tiles) and
         :meth:`compute_on_targets` (the active block's covering tiles):
         ``tile_list`` is split contiguously across cards, each card
-        tilizes through its own caches and evaluates its shard under the
-        configured executor, and the merge below always walks cards in
-        ascending index order — so segments, costs and result bits are
-        independent of executor scheduling and of which subset is asked
+        tilizes through its own caches and evaluates its shard (on its own
+        thread unless the run is serial), and the merge below always walks
+        cards in ascending index order — so segments, costs and result bits
+        are independent of thread scheduling and of which subset is asked
         for.  Returns the globally-indexed result tiles plus the merged
         timeline segments.
         """
@@ -277,7 +257,11 @@ class ShardedTTBackend:
         worst_device_s = 0.0
         page_bytes = TILE_ELEMENTS * 4 * len(OUT_QUANTITIES)
         active = [card for card in range(self.n_cards) if shards[card]]
-        generation = self.data_generation
+
+        def run(card):
+            return self.children[card].compute_shard(
+                pos, vel, mass, shards[card], generation=self.data_generation
+            )
 
         if trace is not None or self.workers == "serial":
             # serial, in-line: traced runs must stay single-threaded (the
@@ -294,13 +278,11 @@ class ShardedTTBackend:
                     if trace is not None else nullcontext()
                 )
                 with span:
-                    outcomes[card] = run_card(
-                        child, pos, vel, mass, shards[card], generation
-                    )
+                    outcomes[card] = run(card)
         else:
-            outcomes = self._get_executor().run(
-                active, (pos, vel, mass, shards, generation)
-            )
+            # one thread per card: each touches only its own child backend
+            with ThreadPoolExecutor(max_workers=len(active)) as pool:
+                outcomes = dict(zip(active, pool.map(run, active)))
 
         for card in range(self.n_cards):
             shard = shards[card]
@@ -308,8 +290,7 @@ class ShardedTTBackend:
             if not shard:
                 card_costs.append(CardCost(card, 0, 0.0, 0))
                 continue
-            partial, child_segments, device_s, residency = outcomes[card]
-            self._card_residency[card] = residency
+            partial, child_segments, device_s = outcomes[card]
             worst_device_s = max(worst_device_s, device_s)
             by_tag: dict[str, float] = {"device": device_s}
             for seg in child_segments:
@@ -318,8 +299,8 @@ class ShardedTTBackend:
                 ))
                 by_tag[seg.tag] = by_tag.get(seg.tag, 0.0) + seg.seconds
             for q in OUT_QUANTITIES:
-                for it, tile in partial[q].items():
-                    results[q][it] = tile
+                for it in shard:
+                    results[q][it] = partial[q][it]
             card_costs.append(CardCost(
                 card, len(shard), device_s, gather_bytes, by_tag
             ))
@@ -338,8 +319,6 @@ class ShardedTTBackend:
                 n_cards=self.n_cards, bytes_per_card=max_contribution,
             )
 
-        # stable reporting order regardless of executor scheduling
-        card_costs.sort(key=lambda c: c.card)
         self.last_card_costs = card_costs
         self._sync_residency_metrics()
         return results, segments
@@ -368,7 +347,7 @@ class ShardedTTBackend:
         cards exactly as a full evaluation splits the whole tile range,
         so each card's per-tile accumulation — and therefore the merged
         result — is bit-identical to a full :meth:`compute` sliced at the
-        targets, under every executor.  Device time, per-card costs and
+        targets, serial or threaded.  Device time, per-card costs and
         the ring allgather are priced for the subset actually shipped.
         """
         from .protocol import normalize_targets

@@ -37,6 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="print simulated hardware parameters")
 
     from .backends import backend_choices_help, backend_names
+    from .backends.sharded import WORKER_MODES
 
     def add_integrator_flags(parser: argparse.ArgumentParser) -> None:
         """The registry-addressable scheme/scenario surface, shared by
@@ -86,11 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--cards", type=int, default=None,
                      help="n300 cards to shard i-blocks across "
                           "(tt backends; default 1)")
-    sim.add_argument("--workers", default=None,
-                     choices=("serial", "thread", "process"),
-                     help="host executor for the per-card fan-out "
-                          "(tt backends with --cards > 1; default: "
-                          "REPRO_SHARD_WORKERS or thread)")
+    sim.add_argument("--workers", default=None, choices=WORKER_MODES,
+                     help="host fan-out of the per-card shards "
+                          "(tt backends with --cards > 1; default: thread)")
     sim.add_argument("--threads", type=int, default=None,
                      help="OpenMP threads (cpu backend; registry default 32)")
     sim.add_argument("--mesh", type=int, default=None,
@@ -260,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                           f"{', '.join(backend_names())}")
     sbm.add_argument("--cores", type=int, default=None)
     sbm.add_argument("--cards", type=int, default=None)
-    sbm.add_argument("--workers", default=None,
-                     choices=("serial", "thread", "process"))
+    sbm.add_argument("--workers", default=None, choices=WORKER_MODES)
     sbm.add_argument("--threads", type=int, default=None)
     sbm.add_argument("--mesh", type=int, default=None)
     sbm.add_argument("--cutoff", type=float, default=None)
@@ -641,7 +639,7 @@ def _cmd_lint_device(args: argparse.Namespace) -> int:
         for charge_only in variants:
             label = "batched (charge-only)" if charge_only else "per-block"
             program = backend._program_for(
-                0, device_tiles, n_tiles, charge_only=charge_only
+                device_tiles, n_tiles, charge_only=charge_only
             )
             report = linter.lint(program, device=device)
             print(f"program: {label} engine, {args.format}, "

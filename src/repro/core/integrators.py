@@ -155,7 +155,7 @@ def register_integrator(
         raise ConfigurationError("integrator name must be non-empty")
     entry = RegisteredIntegrator(name, factory, description, options)
     # repro-lint: disable=RH010 - registration happens at import time,
-    # before any shard worker forks; workers only read the registry.
+    # before any shard thread starts; threads only read the registry.
     _REGISTRY[name] = entry
     return entry
 

@@ -8,7 +8,7 @@ one compiler invocation, one flag set and one opt-out switch.
 * :func:`compile_library` — compile a C source string into a shared
   library with the project's bit-identity flags (``-ffp-contract=off``,
   no ``-ffast-math``) and cache the resulting ``.so`` on disk keyed by a
-  hash of (source, flags, compiler).  Re-imports, forked workers and
+  hash of (source, flags, compiler).  Re-imports, other processes and
   repeated test runs reuse the artifact instead of re-invoking the
   compiler.  Any failure returns ``None``; callers fall back to NumPy.
 * :func:`native_enabled` — ``REPRO_NATIVE=0`` disables every native
@@ -48,10 +48,10 @@ def compile_library(source: str, tag: str) -> ctypes.CDLL | None:
 
     The artifact lands in the system temp directory under a name derived
     from the hash of (source, flags, compiler), so identical sources load
-    without recompiling — across processes, fork-spawned shard workers,
-    and repeated test runs.  The build itself goes to a private temp
-    file and is moved into place atomically, so concurrent compiles never
-    observe a half-written library.
+    without recompiling — across processes and repeated test runs.  The
+    build itself goes to a private temp file and is moved into place
+    atomically, so concurrent compiles never observe a half-written
+    library.
     """
     cc = os.environ.get("CC", "cc")
     digest = hashlib.sha256(

@@ -30,8 +30,6 @@ cost model and the E11 double-buffering ablation are untouched.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from ..errors import NBodyError
@@ -73,9 +71,8 @@ class BatchedDispatchEngine:
         #: from — unchanged columns (mass, repeated positions) skip the
         #: re-stack on the next load
         self._j_src: dict[str, list] = {}
-        #: chunk scratch buffers are per-thread: the multi-device fan-out
-        #: computes tiles concurrently
-        self._scratch = threading.local()
+        #: chunk scratch buffers, keyed by (rows, cols)
+        self._scratch: dict[tuple[int, int], list[np.ndarray]] = {}
 
     # -- j-stream staging ---------------------------------------------------
 
@@ -176,16 +173,13 @@ class BatchedDispatchEngine:
         return accs
 
     def _scratch_f32(self, rows: int, cols: int) -> list[np.ndarray]:
-        pools = getattr(self._scratch, "pools", None)
-        if pools is None:
-            pools = self._scratch.pools = {}
-        bufs = pools.get((rows, cols))
+        bufs = self._scratch.get((rows, cols))
         if bufs is None:
             # 6 products + 10 intermediates for the NumPy fallback
             n = 6 if self._native is not None else 16
             bufs = [np.empty((rows, cols), dtype=np.float32)
                     for _ in range(n)]
-            pools[(rows, cols)] = bufs
+            self._scratch[(rows, cols)] = bufs
         return bufs
 
     def _reduce_f32(self, accs, prods, r0, rows, c0, cols) -> None:

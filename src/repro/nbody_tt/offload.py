@@ -2,8 +2,8 @@
 
 :class:`TTForceBackend` is the functional port: it tilizes particle data,
 uploads it through the metalium host API, runs the read/compute/write
-kernel pipeline across the selected Tensix cores (on one or more devices),
-and untilizes acceleration and jerk — all in genuine device precision, with
+kernel pipeline across the selected Tensix cores of one device, and
+untilizes acceleration and jerk — all in genuine device precision, with
 every phase (PCIe, launch, device compute) accounted on the timeline.
 
 :class:`DeviceTimeModel` is the analytic twin used where functional
@@ -15,7 +15,6 @@ pins the two against each other at small N.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,26 +172,33 @@ def _make_write_kernel(out_bufs, my_tiles, *, charge_only=False):
 
 
 class TTForceBackend:
-    """Force evaluation offloaded to (simulated) Wormhole devices."""
+    """Force evaluation offloaded to one (simulated) Wormhole device.
+
+    Several cards are driven by :class:`~repro.backends.ShardedTTBackend`,
+    which holds one of these per card.
+    """
 
     def __init__(
         self,
-        devices: WormholeDevice | list[WormholeDevice],
+        device: WormholeDevice,
         *,
         n_cores: int | None = None,
         softening: float = 0.0,
         fmt: DataFormat = DataFormat.FLOAT32,
-        queues: list[CommandQueue] | None = None,
         cb_buffering: int = 2,
         engine: str | None = None,
         trace=None,
     ) -> None:
-        self.devices = [devices] if isinstance(devices, WormholeDevice) else list(devices)
-        if not self.devices:
-            raise ConfigurationError("need at least one device")
-        for dev in self.devices:
-            dev.require_open()
-        chip = self.devices[0].chip
+        if not isinstance(device, WormholeDevice):
+            raise ConfigurationError(
+                f"expected one WormholeDevice, got {device!r}; "
+                "ShardedTTBackend drives several cards"
+            )
+        device.require_open()
+        #: one-element lists, the shape every offload backend exposes to
+        #: the ``--profile`` report and to ``ShardedTTBackend``
+        self.devices = [device]
+        chip = device.chip
         self.n_cores = n_cores if n_cores is not None else chip.n_tensix_cores
         if not (1 <= self.n_cores <= chip.n_tensix_cores):
             raise ConfigurationError(
@@ -217,37 +223,29 @@ class TTForceBackend:
         #: reader stalls while the compute kernel consumes), 2 = the
         #: paper's overlap of computation and communication
         self.cb_buffering = cb_buffering
-        if queues is not None:
-            self.queues = queues
-        else:
-            # reuse each device's registered command queue when it was
-            # opened through the host API, so callers can inspect the
-            # phases and scheduler statistics afterwards
-            from ..metalium.host_api import GetCommandQueue
+        # reuse the device's registered command queue when it was opened
+        # through the host API, so callers can inspect the phases and
+        # scheduler statistics afterwards
+        from ..metalium.host_api import GetCommandQueue
 
-            self.queues = []
-            for dev in self.devices:
-                try:
-                    self.queues.append(GetCommandQueue(dev))
-                except HostApiError:
-                    self.queues.append(CommandQueue(dev))
-        if len(self.queues) != len(self.devices):
-            raise ConfigurationError("one command queue per device required")
-        self.fabric = EthernetFabric(len(self.devices), chip)
-        self._buffers: dict[int, dict[str, DramBuffer]] = {}
-        self._out_buffers: dict[int, dict[str, DramBuffer]] = {}
+        try:
+            self.queues = [GetCommandQueue(device)]
+        except HostApiError:
+            self.queues = [CommandQueue(device)]
+        self._buffers: dict[str, DramBuffer] = {}
+        self._out_buffers: dict[str, DramBuffer] = {}
         self._n_tiles_allocated: int | None = None
-        #: compiled programs are cached per (device, charge_only, tile
-        #: assignment), as the real host code compiles its kernels once and
-        #: re-enqueues them every evaluation; the assignment is part of the
-        #: key because a sharded composite may hand this backend different
-        #: i-tile subsets of the same geometry
-        self._programs: dict[tuple[int, bool, tuple[int, ...]], Program] = {}
+        #: compiled programs are cached per (charge_only, tile assignment),
+        #: as the real host code compiles its kernels once and re-enqueues
+        #: them every evaluation; the assignment is part of the key because
+        #: a sharded composite may hand this backend different i-tile
+        #: subsets of the same geometry
+        self._programs: dict[tuple[bool, tuple[int, ...]], Program] = {}
         #: tilize cache: unchanged particle columns skip re-quantisation
         self._tilize_cache = TilizeCache()
         #: upload cache: column tile-lists (by identity) currently resident
-        #: in each device's DRAM input buffers
-        self._uploaded: dict[int, dict[str, list[Tile]]] = {}
+        #: in the device's DRAM input buffers
+        self._uploaded: dict[str, list[Tile]] = {}
         #: cross-timestep residency: callers bump this (or call
         #: invalidate_residency) when particle state changes; identical
         #: generations let the tilize cache skip even the value comparison
@@ -315,22 +313,22 @@ class TTForceBackend:
             return
         self._programs.clear()  # geometry changed: recompile
         self._uploaded.clear()  # fresh buffers hold nothing yet
-        for d, dev in enumerate(self.devices):
-            for store in (self._buffers, self._out_buffers):
-                for buf in store.get(d, {}).values():
-                    if buf.is_live:
-                        buf.deallocate()
-            self._buffers[d] = {
-                q: DramBuffer(dev, n_tiles, self.fmt) for q in J_QUANTITIES
-            }
-            self._out_buffers[d] = {
-                q: DramBuffer(dev, n_tiles, self.fmt) for q in OUT_QUANTITIES
-            }
+        for store in (self._buffers, self._out_buffers):
+            for buf in store.values():
+                if buf.is_live:
+                    buf.deallocate()
+        dev = self.devices[0]
+        self._buffers = {
+            q: DramBuffer(dev, n_tiles, self.fmt) for q in J_QUANTITIES
+        }
+        self._out_buffers = {
+            q: DramBuffer(dev, n_tiles, self.fmt) for q in OUT_QUANTITIES
+        }
         self._n_tiles_allocated = n_tiles
 
-    def _program_for(self, d: int, my_device_tiles: list[int],
-                     n_tiles: int, *, charge_only: bool = False) -> Program:
-        """Build (once) the read/compute/write program for device ``d``.
+    def _program_for(self, my_device_tiles: list[int], n_tiles: int, *,
+                     charge_only: bool = False) -> Program:
+        """Build (once) the read/compute/write program for ``my_device_tiles``.
 
         One kernel source is shared by all cores; per-core work arrives
         through runtime args, matching TT-Metalium's model.  The program is
@@ -339,7 +337,7 @@ class TTForceBackend:
         replay) run the same kernels with the data movement and force math
         elided — identical charges, CB dynamics and scheduler rounds.
         """
-        cache_key = (d, charge_only, tuple(my_device_tiles))
+        cache_key = (charge_only, tuple(my_device_tiles))
         cached = self._programs.get(cache_key)
         if cached is not None:
             return cached
@@ -354,8 +352,8 @@ class TTForceBackend:
         placeholder = self._placeholder
         program.add_kernel(KernelSpec(
             "read", RiscvRole.NC, "data_movement",
-            lambda core, args, _d=d: _make_read_kernel(
-                self._buffers[_d], args["my_tiles"], args["n_tiles"],
+            lambda core, args: _make_read_kernel(
+                self._buffers, args["my_tiles"], args["n_tiles"],
                 charge_only=charge_only, placeholder=placeholder,
             )(core, args),
         ))
@@ -369,8 +367,8 @@ class TTForceBackend:
         ))
         program.add_kernel(KernelSpec(
             "write", RiscvRole.B, "data_movement",
-            lambda core, args, _d=d: _make_write_kernel(
-                self._out_buffers[_d], args["my_tiles"],
+            lambda core, args: _make_write_kernel(
+                self._out_buffers, args["my_tiles"],
                 charge_only=charge_only,
             )(core, args),
         ))
@@ -385,8 +383,7 @@ class TTForceBackend:
 
     # -- main entry ---------------------------------------------------------
 
-    def _upload_j_stream(self, d: int, queue: CommandQueue,
-                         tiles: ParticleTiles) -> None:
+    def _upload_j_stream(self, tiles: ParticleTiles) -> None:
         """Upload the replicated j-stream, skipping columns already resident.
 
         The tilize cache returns the *same* tile-list object for unchanged
@@ -394,18 +391,18 @@ class TTForceBackend:
         transfer (the device-side accounting is unchanged) but skips the
         host-side re-encode and store.
         """
-        uploaded = self._uploaded.setdefault(d, {})
+        queue = self.queues[0]
         column_bytes = (
             tiles.n_tiles * TILE_ELEMENTS * storage_bytes_per_element(self.fmt)
         )
         for q in J_QUANTITIES:
             col = tiles.columns[q]
-            if uploaded.get(q) is col:
-                queue.charge_write_buffer(self._buffers[d][q])
+            if self._uploaded.get(q) is col:
+                queue.charge_write_buffer(self._buffers[q])
                 self._upload_skipped_bytes += column_bytes
             else:
-                queue.enqueue_write_buffer(self._buffers[d][q], col)
-                uploaded[q] = col
+                queue.enqueue_write_buffer(self._buffers[q], col)
+                self._uploaded[q] = col
 
     def compute_partial(
         self, tiles: ParticleTiles, tile_indices: list[int]
@@ -421,31 +418,24 @@ class TTForceBackend:
 
         Returns the per-quantity result tiles (indexed globally, ``None``
         outside the subset), the queue phase segments (device time
-        excluded), and the slowest device's compute seconds.
+        excluded), and the device's compute seconds.
         """
         self._ensure_buffers(tiles.n_tiles)
-
-        # Distribute the requested i-tiles over devices (round-robin),
-        # then over cores.
-        device_tiles = [
-            [tile_indices[k] for k in mine]
-            for mine in assign_tiles_to_cores(
-                len(tile_indices), len(self.devices)
-            )
-        ]
         results: dict[str, list[Tile | None]] = {
             q: [None] * tiles.n_tiles for q in OUT_QUANTITIES
         }
-        segments: list[TimelineSegment] = []
-
-        if self.engine == "batched":
-            worst_device_s = self._run_batched(
-                tiles, device_tiles, results, segments
-            )
-        else:
-            worst_device_s = self._run_per_block(
-                tiles, device_tiles, results, segments
-            )
+        queue = self.queues[0]
+        phase_mark = len(queue.phases)
+        run = (
+            self._run_batched if self.engine == "batched"
+            else self._run_per_block
+        )
+        device_s = run(tiles, tile_indices, results)
+        segments = [
+            TimelineSegment(p.tag, p.duration_s, p.detail)
+            for p in queue.phases[phase_mark:]
+            if p.tag != "device"  # device time merged by the caller
+        ]
 
         missing = [
             q for q in OUT_QUANTITIES
@@ -453,7 +443,7 @@ class TTForceBackend:
         ]
         if missing:
             raise NBodyError(f"device returned incomplete results for {missing}")
-        return results, segments, worst_device_s
+        return results, segments, device_s
 
     def compute_shard(
         self, pos: np.ndarray, vel: np.ndarray, mass: np.ndarray,
@@ -461,10 +451,10 @@ class TTForceBackend:
     ) -> tuple[dict[str, list[Tile | None]], list[TimelineSegment], float]:
         """Tilize through this backend's caches and evaluate a shard.
 
-        The executor-friendly wrapper around :meth:`compute_partial`: raw
-        particle arrays in (cheap to ship to a worker process), partial
-        tiles out.  The tilize/upload caches live with the backend, so a
-        worker that keeps its child across timesteps keeps residency too.
+        What :class:`~repro.backends.ShardedTTBackend` calls for each
+        card: raw particle arrays in, partial tiles out (see
+        :meth:`compute_partial`).  The tilize/upload caches live with the
+        backend, so each card keeps its residency across timesteps.
         """
         tiles = ParticleTiles.from_arrays(
             pos, vel, mass, self.fmt, cache=self._tilize_cache,
@@ -478,24 +468,10 @@ class TTForceBackend:
             pos, vel, mass, self.fmt, cache=self._tilize_cache,
             generation=self.data_generation,
         )
-        results, segments, worst_device_s = self.compute_partial(
+        results, segments, device_s = self.compute_partial(
             tiles, list(range(tiles.n_tiles))
         )
-
-        segments.append(TimelineSegment("device", worst_device_s, "force"))
-        if len(self.devices) > 1:
-            result_bytes = tiles.n_tiles * TILE_ELEMENTS * 4 * len(OUT_QUANTITIES)
-            gather_s = self.fabric.allgather_seconds(
-                result_bytes // len(self.devices)
-            )
-            segments.append(TimelineSegment("device", gather_s, "allgather"))
-            if self._trace is not None:
-                self._trace.add_span(
-                    "allgather", gather_s, category="device",
-                    bytes=result_bytes // len(self.devices),
-                    n_devices=len(self.devices),
-                )
-
+        segments.append(TimelineSegment("device", device_s, "force"))
         acc, jerk = ParticleTiles.results_to_arrays(
             {q: results[q] for q in OUT_QUANTITIES}, tiles.n
         )
@@ -523,62 +499,33 @@ class TTForceBackend:
             generation=self.data_generation,
         )
         needed = sorted({int(t) // TILE_ELEMENTS for t in idx})
-        results, segments, worst_device_s = self.compute_partial(
-            tiles, needed
-        )
+        results, segments, device_s = self.compute_partial(tiles, needed)
         segments.append(TimelineSegment(
-            "device", worst_device_s, f"force-subset[{len(needed)}t]"
+            "device", device_s, f"force-subset[{len(needed)}t]"
         ))
-        if len(self.devices) > 1:
-            result_bytes = (
-                len(needed) * TILE_ELEMENTS * 4 * len(OUT_QUANTITIES)
-            )
-            gather_s = self.fabric.allgather_seconds(
-                result_bytes // len(self.devices)
-            )
-            segments.append(TimelineSegment("device", gather_s, "allgather"))
-            if self._trace is not None:
-                self._trace.add_span(
-                    "allgather", gather_s, category="device",
-                    bytes=result_bytes // len(self.devices),
-                    n_devices=len(self.devices),
-                )
         acc, jerk = subset_rows_from_tiles(results, idx)
         self._sync_residency_metrics()
         return ForceEvaluation(acc, jerk, segments=tuple(segments))
 
-    def _run_per_block(self, tiles, device_tiles, results, segments) -> float:
+    def _run_per_block(self, tiles, tile_indices, results) -> float:
         """The original in-band path: values flow through the simulator."""
-        worst_device_s = 0.0
-        for d, dev in enumerate(self.devices):
-            my_device_tiles = device_tiles[d]
-            if not my_device_tiles:
-                continue
-            queue = self.queues[d]
-            phase_mark = len(queue.phases)
+        queue = self.queues[0]
+        # upload: the device holds the full replicated particle set
+        self._upload_j_stream(tiles)
 
-            # upload: every device holds the full replicated particle set
-            self._upload_j_stream(d, queue, tiles)
+        self.devices[0].clear_counters()
+        device_s = queue.enqueue_program(
+            self._program_for(tile_indices, tiles.n_tiles)
+        )
 
-            dev.clear_counters()
-            device_s = queue.enqueue_program(
-                self._program_for(d, my_device_tiles, tiles.n_tiles)
-            )
-            worst_device_s = max(worst_device_s, device_s)
+        # download the result tiles
+        for q in OUT_QUANTITIES:
+            out_tiles = queue.enqueue_read_buffer(self._out_buffers[q])
+            for it in tile_indices:
+                results[q][it] = out_tiles[it]
+        return device_s
 
-            # download this device's result tiles
-            for q in OUT_QUANTITIES:
-                out_tiles = queue.enqueue_read_buffer(self._out_buffers[d][q])
-                for it in my_device_tiles:
-                    results[q][it] = out_tiles[it]
-            segments.extend(
-                TimelineSegment(p.tag, p.duration_s, p.detail)
-                for p in queue.phases[phase_mark:]
-                if p.tag != "device"  # device time merged by the caller
-            )
-        return worst_device_s
-
-    def _run_batched(self, tiles, device_tiles, results, segments) -> float:
+    def _run_batched(self, tiles, tile_indices, results) -> float:
         """The batched path: engine values + charge-only program replay."""
         engine = self._engine_obj
         if engine is None:
@@ -586,52 +533,21 @@ class TTForceBackend:
                 self.fmt, self.softening
             )
         engine.load_j_stream(tiles)
-
-        def run_device(d: int):
-            dev = self.devices[d]
-            my_device_tiles = device_tiles[d]
-            queue = self.queues[d]
-            phase_mark = len(queue.phases)
-            self._upload_j_stream(d, queue, tiles)
-            dev.clear_counters()
-            device_s = queue.enqueue_program(
-                self._program_for(
-                    d, my_device_tiles, tiles.n_tiles, charge_only=True
+        queue = self.queues[0]
+        self._upload_j_stream(tiles)
+        self.devices[0].clear_counters()
+        device_s = queue.enqueue_program(
+            self._program_for(tile_indices, tiles.n_tiles, charge_only=True)
+        )
+        values = engine.compute_tiles(tile_indices)
+        for q in OUT_QUANTITIES:
+            queue.charge_read_buffer(self._out_buffers[q])
+        for it, vecs in values.items():
+            for q, vec in zip(OUT_QUANTITIES, vecs):
+                results[q][it] = Tile.from_quantized(
+                    np.asarray(vec, dtype=np.float64), self.fmt
                 )
-            )
-            values = engine.compute_tiles(my_device_tiles)
-            for q in OUT_QUANTITIES:
-                queue.charge_read_buffer(self._out_buffers[d][q])
-            return device_s, phase_mark, values
-
-        active = [d for d in range(len(self.devices)) if device_tiles[d]]
-        if len(active) > 1 and self._trace is None:
-            # the NumPy/native chunk math releases the GIL, so devices
-            # genuinely overlap; each thread touches only its own device,
-            # queue, and counters
-            with ThreadPoolExecutor(max_workers=len(active)) as pool:
-                outcomes = dict(zip(active, pool.map(run_device, active)))
-        else:
-            # traced runs go device-by-device: the trace cursor and span
-            # stack are single-threaded state, and modelled time is
-            # unchanged either way (wall clock is the only observer effect)
-            outcomes = {d: run_device(d) for d in active}
-
-        worst_device_s = 0.0
-        for d in active:  # merge in device order, as the per-block path does
-            device_s, phase_mark, values = outcomes[d]
-            worst_device_s = max(worst_device_s, device_s)
-            for it, vecs in values.items():
-                for q, vec in zip(OUT_QUANTITIES, vecs):
-                    results[q][it] = Tile.from_quantized(
-                        np.asarray(vec, dtype=np.float64), self.fmt
-                    )
-            segments.extend(
-                TimelineSegment(p.tag, p.duration_s, p.detail)
-                for p in self.queues[d].phases[phase_mark:]
-                if p.tag != "device"
-            )
-        return worst_device_s
+        return device_s
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,7 @@ Two execution modes, both driven purely by a job's declarative
   result — the property the result cache relies on.
 * ``functional`` — the job actually integrates the system on the spec's
   backend (:meth:`RunSpec.make_simulation`), exercising the real
-  tilize/dispatch/gather machinery, including multi-card sharding with
-  process workers.  Backends are closed after every job so no forked
-  shard worker outlives its run.
+  tilize/dispatch/gather machinery, including multi-card sharding.
 
 Per-job progress events are derived from Scope traces: every job runs
 traced, and the resulting spans (reset attempts, sleeps, per-phase
@@ -133,16 +131,11 @@ class CardFarm:
 
         trace = Trace()
         backend = spec.make_backend()
-        try:
-            system = spec.make_system()
-            initial = energy_report(system, softening=spec.softening)
-            sim = spec.make_simulation(system, backend, trace=trace)
-            result = sim.run(spec.cycles)
-            final = energy_report(system, softening=spec.softening)
-        finally:
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
+        system = spec.make_system()
+        initial = energy_report(system, softening=spec.softening)
+        sim = spec.make_simulation(system, backend, trace=trace)
+        result = sim.run(spec.cycles)
+        final = energy_report(system, softening=spec.softening)
         return {
             "mode": "functional",
             "completed": True,

@@ -28,7 +28,7 @@ def test_nbody_programs_lint_clean(device, charge_only, fmt):
     backend._ensure_buffers(n_tiles)
     device_tiles = assign_tiles_to_cores(n_tiles, 1)[0]
     program = backend._program_for(
-        0, device_tiles, n_tiles, charge_only=charge_only
+        device_tiles, n_tiles, charge_only=charge_only
     )
     report = ProgramLinter().lint(program, device=device)
     assert len(report) == 0, report.format()
@@ -39,7 +39,7 @@ def test_lint_leaves_device_accounting_untouched(device):
     n_tiles = tiles_needed(256)
     backend._ensure_buffers(n_tiles)
     device_tiles = assign_tiles_to_cores(n_tiles, 1)[0]
-    program = backend._program_for(0, device_tiles, n_tiles)
+    program = backend._program_for(device_tiles, n_tiles)
 
     before = (
         device.dram.bytes_read,

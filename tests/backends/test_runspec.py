@@ -192,6 +192,17 @@ class TestCanonicalHash:
         with pytest.raises(ConfigurationError):
             spec.canonical_hash()
 
+    @pytest.mark.parametrize("cards", [1, 2])
+    @pytest.mark.parametrize("workers", ["turbo", "process"])
+    def test_unknown_workers_rejected(self, cards, workers):
+        """A bad ``workers`` spelling gets no cache identity of its own,
+        whether or not the spec shards."""
+        spec = RunSpec.from_json(RunSpec(
+            backend=BackendSpec("tt", {"cards": cards, "workers": workers})
+        ).to_json())
+        with pytest.raises(ConfigurationError, match="workers"):
+            spec.canonical_hash()
+
     def test_hash_is_hex_sha256(self):
         digest = RunSpec().canonical_hash()
         assert len(digest) == 64

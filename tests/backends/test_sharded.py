@@ -1,9 +1,12 @@
-"""ShardedTTBackend: bit identity, per-card accounting, trace fan-out."""
+"""ShardedTTBackend: bit identity, per-card accounting, trace fan-out,
+the ``workers`` host fan-out and its option plumbing down from the CLI."""
+
+import argparse
 
 import numpy as np
 import pytest
 
-from repro.backends import ShardedTTBackend, make_backend, shard_tiles
+from repro.backends import RunSpec, ShardedTTBackend, make_backend, shard_tiles
 from repro.core import plummer
 from repro.errors import ConfigurationError
 from repro.observability import Trace
@@ -112,3 +115,85 @@ class TestTraceFanOut:
         assert [s.attributes["card"] for s in cards] == [0, 1]
         assert sum(s.attributes["n_tiles"] for s in cards) == 2
         assert len(backend.trace.find("allgather")) == 1
+
+
+class TestWorkerModes:
+    """Serial and threaded fan-out are bit-for-bit the single card."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return plummer(4096, seed=7)
+
+    @pytest.fixture(scope="class")
+    def single(self, system):
+        backend = make_backend("tt", cores=4)
+        return backend.compute(system.pos, system.vel, system.mass)
+
+    @pytest.mark.parametrize("cards", [2, 4])
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_matches_single_card(self, system, single, mode, cards):
+        backend = make_backend("tt", cores=4, cards=cards, workers=mode)
+        ev = backend.compute(system.pos, system.vel, system.mass)
+        assert backend.workers == mode
+        assert np.array_equal(single.acc, ev.acc, equal_nan=True)
+        assert np.array_equal(single.jerk, ev.jerk, equal_nan=True)
+
+    def test_thread_matches_serial_across_steps(self, system):
+        """Repeated evaluations (warm residency caches) stay identical."""
+        evals = {}
+        for mode in ("serial", "thread"):
+            backend = make_backend("tt", cores=4, cards=2, workers=mode)
+            backend.compute(system.pos, system.vel, system.mass)
+            evals[mode] = backend.compute(system.pos, system.vel, system.mass)
+        assert np.array_equal(
+            evals["serial"].acc, evals["thread"].acc, equal_nan=True
+        )
+        assert np.array_equal(
+            evals["serial"].jerk, evals["thread"].jerk, equal_nan=True
+        )
+
+    def test_card_costs_stable_order(self, system):
+        """Costs come back sorted by card index whatever the scheduling."""
+        backend = make_backend("tt", cores=4, cards=4, workers="thread")
+        backend.compute(system.pos, system.vel, system.mass)
+        assert [c.card for c in backend.last_card_costs] == [0, 1, 2, 3]
+        assert all(c.n_tiles == 1 for c in backend.last_card_costs)
+
+
+class TestOptionPlumbing:
+    """workers flows CLI -> RunSpec -> registry -> backend."""
+
+    def test_registry_accepts_workers(self):
+        backend = make_backend("tt", cards=2, workers="serial")
+        assert backend.workers == "serial"
+
+    def test_default_is_thread(self):
+        assert make_backend("tt", cards=2).workers == "thread"
+
+    def test_registry_rejects_bad_workers(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            make_backend("tt", cards=2, workers="turbo")
+
+    @pytest.mark.parametrize("workers", ["turbo", "process"])
+    def test_single_card_rejects_bad_workers(self, workers):
+        """Validated for every card count, not only when sharding."""
+        with pytest.raises(ConfigurationError, match="workers"):
+            make_backend("tt", workers=workers)
+
+    def test_constructor_rejects_bad_workers(self):
+        with pytest.raises(ConfigurationError, match="workers mode"):
+            ShardedTTBackend(2, workers="process")
+
+    def test_runspec_forwards_workers_for_tt(self):
+        args = argparse.Namespace(
+            backend="tt", cards=2, workers="serial", n=256
+        )
+        spec = RunSpec.from_cli(args)
+        assert spec.backend.options["workers"] == "serial"
+        backend = spec.make_backend()
+        assert backend.workers == "serial"
+
+    def test_runspec_filters_workers_for_cpu(self):
+        args = argparse.Namespace(backend="cpu", workers="thread", n=256)
+        spec = RunSpec.from_cli(args)
+        assert "workers" not in spec.backend.options

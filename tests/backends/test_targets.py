@@ -60,24 +60,16 @@ BACKENDS = [
 )
 def test_subset_bit_identical_to_masked_full_compute(name, options):
     backend = make_backend(name, **options)
-    try:
-        assert supports_targets(backend)
-        _assert_subset_bit_identical(backend)
-    finally:
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
+    assert supports_targets(backend)
+    _assert_subset_bit_identical(backend)
 
 
 @pytest.mark.parametrize("cards", [2, 4])
-@pytest.mark.parametrize("workers", ["serial", "thread", "process"])
+@pytest.mark.parametrize("workers", ["serial", "thread"])
 def test_sharded_subset_bit_identical_across_executors(cards, workers):
     backend = make_backend("tt", cards=cards, workers=workers)
-    try:
-        assert supports_targets(backend)
-        _assert_subset_bit_identical(backend)
-    finally:
-        backend.close()
+    assert supports_targets(backend)
+    _assert_subset_bit_identical(backend)
 
 
 @pytest.mark.parametrize("cards", [2, 4])
@@ -87,16 +79,10 @@ def test_sharded_subset_matches_single_card(cards):
     single = make_backend("tt")
     sharded = make_backend("tt", cards=cards)
     targets = np.array([3, 40, 41, 90])
-    try:
-        a = single.compute_on_targets(s.pos, s.vel, s.mass, targets)
-        b = sharded.compute_on_targets(s.pos, s.vel, s.mass, targets)
-        np.testing.assert_array_equal(a.acc, b.acc)
-        np.testing.assert_array_equal(a.jerk, b.jerk)
-    finally:
-        for backend in (single, sharded):
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
+    a = single.compute_on_targets(s.pos, s.vel, s.mass, targets)
+    b = sharded.compute_on_targets(s.pos, s.vel, s.mass, targets)
+    np.testing.assert_array_equal(a.acc, b.acc)
+    np.testing.assert_array_equal(a.jerk, b.jerk)
 
 
 def test_subset_costs_no_more_than_full_compute():

@@ -3,13 +3,14 @@
 The batched block-dispatch engine must be indistinguishable from the
 per-block path in everything but wall clock: identical result bits for
 every data format (softened or not, with the diagonal self-mask, across
-multi-device tile splits), identical cost-model charges, identical
+multi-card tile splits), identical cost-model charges, identical
 timeline phases, and identical cooperative-scheduler round counts.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import ShardedTTBackend
 from repro.core.initial_conditions import plummer
 from repro.errors import ConfigurationError
 from repro.metalium import CreateDevice
@@ -120,11 +121,11 @@ class TestBitIdentity:
         single = TTForceBackend(
             CreateDevice(0), n_cores=2, engine="batched"
         ).compute(s.pos, s.vel, s.mass)
-        pb2 = TTForceBackend(
-            [CreateDevice(0), CreateDevice(1)], n_cores=2, engine="per-block"
+        pb2 = ShardedTTBackend(
+            2, n_cores=2, engine="per-block"
         ).compute(s.pos, s.vel, s.mass)
-        ba2 = TTForceBackend(
-            [CreateDevice(0), CreateDevice(1)], n_cores=2, engine="batched"
+        ba2 = ShardedTTBackend(
+            2, n_cores=2, engine="batched"
         ).compute(s.pos, s.vel, s.mass)
         assert np.array_equal(pb2.acc, ba2.acc, equal_nan=True)
         assert np.array_equal(pb2.jerk, ba2.jerk, equal_nan=True)
@@ -250,12 +251,12 @@ class TestCaches:
         s = plummer(1024, seed=12)
         backend = TTForceBackend(CreateDevice(0), n_cores=1, engine="batched")
         backend.compute(s.pos, s.vel, s.mass)
-        uploaded_mass = backend._uploaded[0]["m"]
+        uploaded_mass = backend._uploaded["m"]
         pos2 = s.pos + 1e-4
         backend.compute(pos2, s.vel, s.mass)
         # mass column untouched -> same resident tile list; positions
         # changed -> re-uploaded
-        assert backend._uploaded[0]["m"] is uploaded_mass
+        assert backend._uploaded["m"] is uploaded_mass
 
     def test_integration_results_stable_across_steps(self):
         """A short Hermite run through both engines stays bit-identical

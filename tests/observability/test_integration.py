@@ -21,6 +21,7 @@ from repro import (
     plummer,
     write_chrome_trace,
 )
+from repro.backends import ShardedTTBackend
 from repro.metalium import CreateDevice, GetCommandQueue
 from repro.observability import validate_chrome_trace
 from repro.telemetry import RetryPolicy
@@ -141,9 +142,7 @@ class TestTraceIsOptional:
     def test_multi_device_traced_run_matches_untraced(self):
         def run(trace):
             system = plummer(2048, seed=13)
-            backend = TTForceBackend(
-                [CreateDevice(0), CreateDevice(1)], n_cores=2, trace=trace
-            )
+            backend = ShardedTTBackend(2, n_cores=2, trace=trace)
             ev = backend.compute(system.pos, system.vel, system.mass)
             return ev
 
@@ -154,7 +153,7 @@ class TestTraceIsOptional:
         assert sum(s.seconds for s in ev_a.segments) == pytest.approx(
             sum(s.seconds for s in ev_b.segments)
         )
-        # Both devices narrated their launches, and the allgather shows.
+        # Both cards narrated their launches, and the allgather shows.
         tracks = {s.track for s in trace.spans if s.category == "core"}
         assert any(t.startswith("dev0/") for t in tracks)
         assert any(t.startswith("dev1/") for t in tracks)

@@ -71,19 +71,17 @@ class TestCardFarm:
         assert payload["seconds_by_tag"]
         assert payload["backend"].startswith("tt-wormhole")
 
-    def test_functional_closes_sharded_backends(self):
-        import multiprocessing
-
+    def test_functional_sharded_thread_job_completes(self):
         farm = CardFarm(1, mode="functional")
         spec = RunSpec(
             n=256, cycles=1,
             backend=BackendSpec(
-                "tt", {"cores": 2, "cards": 2, "workers": "process"}
+                "tt", {"cores": 2, "cards": 2, "workers": "thread"}
             ),
         )
         payload = farm.execute(spec, card=0)
         assert payload["completed"] is True
-        assert multiprocessing.active_children() == []
+        assert payload["backend"].startswith("tt-sharded-cards2")
 
 
 class TestScheduler:

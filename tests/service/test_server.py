@@ -281,6 +281,21 @@ class TestHttpSurface:
             urllib.request.urlopen(req)
         assert exc_info.value.code == 400
 
+    def test_unknown_workers_spec_is_400(self, service):
+        import urllib.error
+
+        spec = RunSpec(n=64, cycles=1).with_backend(
+            "tt", cards=2, workers="process"
+        )
+        req = urllib.request.Request(
+            service.url + "/v1/jobs", method="POST",
+            data=json.dumps({"spec": spec.to_dict()}).encode(),
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            urllib.request.urlopen(req)
+        assert exc_info.value.code == 400
+        assert "workers" in json.loads(exc_info.value.read())["error"]
+
     def test_unknown_route_is_404(self, service):
         import urllib.error
 

@@ -73,13 +73,18 @@ class TestSimulate:
         assert "Residency" in out and "tilize cache" in out
 
     def test_workers_flag_selects_executor(self, capsys):
-        rc = main(["simulate", "--n", "2048", "--cycles", "1",
-                   "--backend", "tt", "--cores", "2", "--cards", "2",
-                   "--workers", "process", "--profile"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "tt-sharded-cards2" in out
-        assert "Residency" in out
+        for workers in ("serial", "thread"):
+            rc = main(["simulate", "--n", "2048", "--cycles", "1",
+                       "--backend", "tt", "--cores", "2", "--cards", "2",
+                       "--workers", workers, "--profile"])
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert "tt-sharded-cards2" in out
+            assert "Residency" in out
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--n", "64", "--backend", "tt",
+                  "--cards", "2", "--workers", "process"])
+        assert exc_info.value.code == 2
 
     def test_workers_flag_rejects_unknown_mode(self, capsys):
         with pytest.raises(SystemExit):

@@ -10,6 +10,7 @@ for ``repro simulate --profile``).
 import numpy as np
 import pytest
 
+from repro.backends import ShardedTTBackend
 from repro.core import plummer
 from repro.errors import ConfigurationError
 from repro.metalium import (
@@ -160,6 +161,8 @@ class TestMultiDevice:
     def test_multi_device_backend_splits_work_across_cards(self):
         devices = [CreateDevice(0), CreateDevice(1)]
         s = plummer(2048, seed=7)  # 2 tiles -> one i-tile per card
-        TTForceBackend(devices, n_cores=2).compute(s.pos, s.vel, s.mass)
+        ShardedTTBackend(2, n_cores=2, devices=devices).compute(
+            s.pos, s.vel, s.mass
+        )
         profiles = [profile_device(d) for d in devices]
         assert all(p.active_cores == 1 for p in profiles)
