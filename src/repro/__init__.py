@@ -13,10 +13,9 @@ The package provides four layers (see DESIGN.md for the full inventory):
 * :mod:`repro.nbody_tt` / :mod:`repro.cpuref` — the two competitors: the
   ported device backend (read/compute/write kernels over circular buffers)
   and the mixed-precision MPI+OpenMP+AVX-512 CPU reference model.
-* :mod:`repro.backends` — the backend layer: the :class:`ForceBackend`
-  protocol, the registry (``make_backend``/``register_backend``), the
-  declarative :class:`RunSpec`, and the multi-card
-  :class:`ShardedTTBackend` composite.
+* :mod:`repro.backends` — the backend layer: the registry
+  (``BACKENDS``/``make_backend``), the declarative :class:`RunSpec`, and
+  the multi-card :class:`ShardedTTBackend` composite.
 * :mod:`repro.telemetry` — the measurement campaign: tt-smi/RAPL/IPMI
   simulacra, 1 Hz sampling, csv persistence, energy integration, and the
   reset/sleep/simulate/sleep job workflow.
@@ -34,12 +33,11 @@ Quickstart::
 """
 
 from .backends import (
+    BACKENDS,
     BackendSpec,
     RunSpec,
     ShardedTTBackend,
-    backend_names,
     make_backend,
-    register_backend,
 )
 from .config import (
     DEFAULT_BENCH_N_CYCLES,
@@ -92,12 +90,11 @@ from .wormhole import DataFormat, WormholeDevice
 __version__ = "1.0.0"
 
 __all__ = [
+    "BACKENDS",
     "BackendSpec",
     "RunSpec",
     "ShardedTTBackend",
-    "backend_names",
     "make_backend",
-    "register_backend",
     "DEFAULT_BENCH_N_CYCLES",
     "DEFAULT_BENCH_N_PARTICLES",
     "PAPER_N_CYCLES",

@@ -36,24 +36,17 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     # The C compile-and-cache helper and the REPRO_NATIVE switch, shared
     # by every layer with a native fast path.
     "native": {"errors", "config"},
-    "core": {"errors", "observability", "backends", "native"},
+    "core": {"errors", "observability", "native"},
     "wormhole": {"errors", "config", "native"},
     "analysis": {"errors", "config", "wormhole"},
     "metalium": {"errors", "wormhole", "analysis"},
-    "cpuref": {"errors", "core", "backends"},
-    "nbody_tt": {
-        "errors", "core", "wormhole", "metalium", "backends", "native",
-    },
+    "cpuref": {"errors", "core"},
+    "nbody_tt": {"errors", "core", "wormhole", "metalium", "native"},
     # The far-field port: PM mesh/Poisson numerics plus the Metalium FFT
     # kernel set; reuses nbody_tt's tiling assignment and op-mix pricing.
-    "nbody_pm": {
-        "errors", "core", "wormhole", "metalium", "backends", "nbody_tt",
-    },
-    # The backends layer: its protocol module sits *below* core (core
-    # re-exports ForceBackend/ForceEvaluation from it), while the
-    # registry/sharded/runspec modules aggregate the competitors above
-    # it via lazy imports.  The walk counts both directions, hence the
-    # mutual core <-> backends allowance.
+    "nbody_pm": {"errors", "core", "wormhole", "metalium", "nbody_tt"},
+    # The backends layer aggregates the competitors: registry, sharded
+    # composite and RunSpec sit above all of them.
     "backends": {
         "errors", "config", "observability", "core", "wormhole",
         "metalium", "cpuref", "nbody_tt", "nbody_pm",

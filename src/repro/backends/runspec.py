@@ -6,7 +6,7 @@ bundle — ``cli.py`` carried an argparse namespace through each subcommand,
 hardcoded its own N/seed/softening — and the trace/lint/sanitize switches
 were resolved from environment variables at three different depths of the
 stack.  :class:`RunSpec` is the single declarative form: problem size and
-integration parameters, the :class:`~repro.backends.registry.BackendSpec`
+integration parameters, the backend :class:`~repro.core.registry.Spec`
 to run on, and the observability flags, with a JSON round-trip (campaign
 schedules and checkpoints can persist it) and **one** env/CLI resolution
 path:
@@ -18,28 +18,28 @@ path:
   runner must export so the Metalium layer honours the spec's lint and
   sanitize choices.
 
-A spec also names its *integrator* (:class:`~repro.core.integrators.
-IntegratorSpec`) and *scenario* (:class:`~repro.core.scenarios.
-ScenarioSpec`), both registry-addressable: :meth:`RunSpec.make_system`
-realises the scenario for ``(n, seed)`` and :meth:`RunSpec.make_simulation`
-builds the named integration scheme over the named backend.  The core
-registries are imported lazily (``repro.core`` sits *above* this layer),
-and the all-default spellings — hermite over a Plummer sphere — are
-omitted from :meth:`canonical_dict` so pre-existing cached identities
-survive the fields' introduction.
+A spec also names its *integrator* and *scenario*, both
+registry-addressable: :meth:`RunSpec.make_system` realises the scenario
+for ``(n, seed)`` and :meth:`RunSpec.make_simulation` builds the named
+integration scheme over the named backend.  The all-default spellings —
+hermite over a Plummer sphere — are omitted from :meth:`canonical_dict`
+so pre-existing cached identities survive the fields' introduction.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from ..config import env_flag, env_str
+from ..core.integrators import INTEGRATORS, make_integrator
+from ..core.protocol import ForceBackend
+from ..core.registry import Entry, Spec
+from ..core.scenarios import SCENARIOS
 from ..errors import ConfigurationError
-from .protocol import ForceBackend
-from .registry import BackendSpec, backend_entry, make_backend
+from .registry import BACKENDS, make_backend
 
 __all__ = ["RunSpec"]
 
@@ -58,32 +58,26 @@ _CLI_INTEGRATOR_OPTION_NAMES = {"eta": "eta", "dt_max": "dt_max",
                                 "block_levels": "block_levels"}
 
 
-def _as_integrator_spec(value):
-    """Coerce a name / dict / spec into an ``IntegratorSpec`` (lazy)."""
-    from ..core.integrators import IntegratorSpec
-
-    if isinstance(value, IntegratorSpec):
-        return value
-    if isinstance(value, (str, Mapping)):
-        return IntegratorSpec.from_dict(value)
-    raise ConfigurationError(
-        f"integrator must be a name, spec dict, or IntegratorSpec, "
-        f"got {value!r}"
-    )
+def _declared_options(args: Any, cli_names: Mapping[str, str],
+                      entry: Entry) -> dict[str, Any]:
+    """The CLI values ``entry`` declares an option for, by option name."""
+    declared = {o.name for o in entry.options}
+    options: dict[str, Any] = {}
+    for arg_name, option_name in cli_names.items():
+        value = getattr(args, arg_name, None)
+        if value is not None and option_name in declared:
+            options[option_name] = value
+    return options
 
 
-def _as_scenario_spec(value):
-    """Coerce a name / dict / spec into a ``ScenarioSpec`` (lazy)."""
-    from ..core.scenarios import ScenarioSpec
-
-    if isinstance(value, ScenarioSpec):
-        return value
-    if isinstance(value, (str, Mapping)):
-        return ScenarioSpec.from_dict(value)
-    raise ConfigurationError(
-        f"scenario must be a name, spec dict, or ScenarioSpec, "
-        f"got {value!r}"
-    )
+#: The registry-addressed fields, each with the spelling that
+#: :meth:`RunSpec.canonical_dict` leaves out when the field resolves to it
+#: (``None``: always kept).
+_REGISTRY_FIELDS = (
+    ("backend", BACKENDS, None),
+    ("integrator", INTEGRATORS, "hermite"),
+    ("scenario", SCENARIOS, "plummer"),
+)
 
 
 @dataclass(frozen=True)
@@ -96,12 +90,11 @@ class RunSpec:
     adaptive: bool = False
     softening: float = 0.0
     seed: int = 0
-    backend: BackendSpec = field(default_factory=lambda: BackendSpec("tt"))
-    #: Integration scheme (name, dict, or ``IntegratorSpec``) — normalised
-    #: to an :class:`~repro.core.integrators.IntegratorSpec` on construction.
+    #: Force backend, integration scheme and initial conditions: each a
+    #: name, a mapping or a :class:`~repro.core.registry.Spec`, normalised
+    #: to a ``Spec`` on construction.
+    backend: Any = "tt"
     integrator: Any = "hermite"
-    #: Initial conditions (name, dict, or ``ScenarioSpec``) — normalised
-    #: to a :class:`~repro.core.scenarios.ScenarioSpec` on construction.
     scenario: Any = "plummer"
     #: Scope trace output path (``None``: tracing off) — ``REPRO_TRACE``.
     trace_path: str | None = None
@@ -111,17 +104,17 @@ class RunSpec:
     sanitize: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "integrator", _as_integrator_spec(self.integrator)
-        )
-        object.__setattr__(
-            self, "scenario", _as_scenario_spec(self.scenario)
-        )
+        for key, _, _ in _REGISTRY_FIELDS:
+            object.__setattr__(self, key, Spec.from_dict(getattr(self, key)))
         if self.n < 1:
             raise ConfigurationError(f"n must be positive, got {self.n}")
         if self.cycles < 0:
             raise ConfigurationError(
                 f"cycles must be >= 0, got {self.cycles}"
+            )
+        if self.softening < 0:
+            raise ConfigurationError(
+                f"softening must be >= 0, got {self.softening}"
             )
         if self.lint not in ("off", "warn", "error"):
             raise ConfigurationError(
@@ -148,18 +141,12 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        known = dict(data)
-        backend = known.pop("backend", None)
-        unknown = sorted(
-            set(known) - {f for f in cls.__dataclass_fields__}
-        )
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
         if unknown:
             raise ConfigurationError(
                 f"run spec does not accept key(s) {unknown}"
             )
-        if backend is not None:
-            known["backend"] = BackendSpec.from_dict(backend)
-        return cls(**known)
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -179,7 +166,7 @@ class RunSpec:
         * the backend name is resolved through the registry, so the
           ``device`` alias and ``tt`` collapse to one name;
         * backend options are resolved against the registered
-          :class:`~repro.backends.registry.OptionSpec` table — defaults
+          :class:`~repro.core.registry.OptionSpec` table — defaults
           filled in and values coerced — so ``{}`` and an explicit
           ``{"cores": 8}`` are the same spec (unknown options raise);
         * ``trace_path`` is excluded: where a host writes its trace says
@@ -196,40 +183,15 @@ class RunSpec:
         every pre-existing cached identity survives the introduction of
         the two fields.
         """
-        from ..core.integrators import integrator_entry
-        from ..core.scenarios import scenario_entry
-
-        entry = backend_entry(self.backend.name)
         data = self.to_dict()
         del data["trace_path"]
-        del data["integrator"]
-        del data["scenario"]
-        data["backend"] = {
-            "name": entry.name,
-            "options": entry.resolve_options(self.backend.options),
-        }
-        ient = integrator_entry(self.integrator.name)
-        resolved_i = {
-            "name": ient.name,
-            "options": ient.resolve_options(self.integrator.options),
-        }
-        default_i = {
-            "name": "hermite",
-            "options": integrator_entry("hermite").resolve_options({}),
-        }
-        if resolved_i != default_i:
-            data["integrator"] = resolved_i
-        sent = scenario_entry(self.scenario.name)
-        resolved_s = {
-            "name": sent.name,
-            "options": sent.resolve_options(self.scenario.options),
-        }
-        default_s = {
-            "name": "plummer",
-            "options": scenario_entry("plummer").resolve_options({}),
-        }
-        if resolved_s != default_s:
-            data["scenario"] = resolved_s
+        for key, registry, default in _REGISTRY_FIELDS:
+            entry, options = registry.resolve(getattr(self, key))
+            if default is not None and \
+                    (entry, options) == registry.resolve(default):
+                del data[key]
+            else:
+                data[key] = {"name": entry.name, "options": options}
         return data
 
     def canonical_hash(self) -> str:
@@ -258,30 +220,19 @@ class RunSpec:
         never reaches the device backend, ``--cores`` never reaches the
         CPU one), so one flat CLI surface serves every registered backend.
         """
-        from ..core.integrators import integrator_entry
-        from ..core.scenarios import scenario_entry
-
         name = getattr(args, "backend", "tt")
-        declared = {o.name for o in backend_entry(name).options}
-        options: dict[str, Any] = {}
-        for arg_name, option_name in _CLI_OPTION_NAMES.items():
-            value = getattr(args, arg_name, None)
-            if value is not None and option_name in declared:
-                options[option_name] = value
         integrator_name = getattr(args, "integrator", None) or "hermite"
-        integrator_declared = {
-            o.name for o in integrator_entry(integrator_name).options
-        }
-        integrator_options: dict[str, Any] = {}
-        for arg_name, option_name in _CLI_INTEGRATOR_OPTION_NAMES.items():
-            value = getattr(args, arg_name, None)
-            if value is not None and option_name in integrator_declared:
-                integrator_options[option_name] = value
+        scenario_name = getattr(args, "scenario", None) or "plummer"
+        options = _declared_options(
+            args, _CLI_OPTION_NAMES, BACKENDS.entry(name))
+        integrator_options = _declared_options(
+            args, _CLI_INTEGRATOR_OPTION_NAMES,
+            INTEGRATORS.entry(integrator_name))
         # fail fast at the CLI boundary: unknown scenario names and
         # out-of-domain integrator options (e.g. a non-power-of-two
         # --dt-max) should exit 2, not traceback mid-run
-        integrator_entry(integrator_name).resolve_options(integrator_options)
-        scenario_entry(getattr(args, "scenario", None) or "plummer")
+        INTEGRATORS.resolve(integrator_name, **integrator_options)
+        SCENARIOS.entry(scenario_name)
         spec = cls(
             n=getattr(args, "n", cls.n),
             cycles=getattr(args, "cycles", cls.cycles),
@@ -289,10 +240,9 @@ class RunSpec:
             adaptive=getattr(args, "adaptive", False),
             softening=getattr(args, "softening", cls.softening),
             seed=getattr(args, "seed", cls.seed),
-            backend=BackendSpec(name, options),
-            integrator={"name": integrator_name,
-                        "options": integrator_options},
-            scenario=getattr(args, "scenario", None) or "plummer",
+            backend=Spec(name, options),
+            integrator=Spec(integrator_name, integrator_options),
+            scenario=scenario_name,
             **overrides,
         )
         return spec.resolved_from_env(env) if env is not None else spec
@@ -329,11 +279,11 @@ class RunSpec:
     # -- realisation -------------------------------------------------------
 
     def with_backend(self, name: str, **options: Any) -> "RunSpec":
-        return replace(self, backend=BackendSpec(name, options))
+        return replace(self, backend=Spec(name, options))
 
     def make_backend(self, **extra: Any) -> ForceBackend:
         """Realise the backend, forcing the spec's softening."""
-        entry = backend_entry(self.backend.name)
+        entry = BACKENDS.entry(self.backend.name)
         declared = {o.name for o in entry.options}
         if "softening" in declared and "softening" not in self.backend.options:
             extra.setdefault("softening", self.softening)
@@ -347,6 +297,8 @@ class RunSpec:
 
     def make_system(self):
         """The initial conditions this spec describes, via the registry."""
+        # looked up at call time, so a wrapper installed on the module
+        # attribute (the benchmark's span recorder) sees every call
         from ..core.scenarios import make_scenario
 
         return make_scenario(self.scenario, self.n, self.seed)
@@ -361,8 +313,6 @@ class RunSpec:
         :func:`~repro.core.integrators.make_integrator` from this spec's
         integrator name and options over this spec's backend.
         """
-        from ..core.integrators import make_integrator
-
         system = system if system is not None else self.make_system()
         backend = backend if backend is not None else self.make_backend()
         return make_integrator(

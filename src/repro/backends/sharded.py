@@ -38,11 +38,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.protocol import ForceEvaluation, TimelineSegment, normalize_targets
 from ..errors import ConfigurationError
 from ..wormhole.dtypes import DataFormat
 from ..wormhole.ethernet import EthernetFabric
 from ..wormhole.tile import TILE_ELEMENTS, tiles_needed
-from .protocol import ForceEvaluation, TimelineSegment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nbody_tt.offload import TTForceBackend
@@ -116,8 +116,7 @@ class ShardedTTBackend:
         devices=None,
         trace=None,
     ) -> None:
-        # lazy imports: this module loads while repro.nbody_tt may still be
-        # mid-import (it imports repro.backends.protocol)
+        # lazy imports keep `import repro.backends` light
         from ..metalium.host_api import CreateDevice
         from ..nbody_tt.offload import TTForceBackend
 
@@ -350,8 +349,6 @@ class ShardedTTBackend:
         targets, serial or threaded.  Device time, per-card costs and
         the ring allgather are priced for the subset actually shipped.
         """
-        from .protocol import normalize_targets
-
         n = mass.shape[0]
         idx = normalize_targets(targets, n)
         n_tiles = max(1, tiles_needed(n))

@@ -3,7 +3,7 @@
 The double-single and tensor-FPU distance variants already existed as
 functional kernels plus cost models (:mod:`repro.nbody_tt.ds_variant`,
 :mod:`repro.nbody_tt.matmul_variant`), but only the ablation benches could
-run them.  Wrapping them in the :class:`~repro.backends.protocol.ForceBackend`
+run them.  Wrapping them in the :class:`~repro.core.protocol.ForceBackend`
 protocol puts them in the registry: the CLI can simulate with them, the
 parity suite holds them to the paper's validation gates, and the CI backend
 matrix smoke-tests them alongside the real competitors.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .protocol import ForceEvaluation, TimelineSegment, normalize_targets
+from ..core.protocol import ForceEvaluation, TimelineSegment, normalize_targets
 
 __all__ = ["DSVariantBackend", "MatmulVariantBackend"]
 

@@ -36,28 +36,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="print simulated hardware parameters")
 
-    from .backends import backend_choices_help, backend_names
+    from .backends import BACKENDS
     from .backends.sharded import WORKER_MODES
+    from .core import INTEGRATORS, SCENARIOS
 
     def add_integrator_flags(parser: argparse.ArgumentParser) -> None:
         """The registry-addressable scheme/scenario surface, shared by
         ``simulate`` and ``submit`` so specs round-trip identically."""
-        from .core.integrators import (
-            integrator_choices_help, integrator_names,
-        )
-        from .core.scenarios import scenario_choices_help, scenario_names
-
         # like --backend: no argparse choices=, the registries are open
         parser.add_argument(
             "--integrator", default=None,
             help="registered integration scheme, one of: "
-                 f"{', '.join(integrator_names())} "
-                 f"({integrator_choices_help()})")
+                 f"{', '.join(INTEGRATORS.names())} "
+                 f"({INTEGRATORS.choices_help()})")
         parser.add_argument(
             "--scenario", default=None,
             help="registered initial conditions, one of: "
-                 f"{', '.join(scenario_names())} "
-                 f"({scenario_choices_help()})")
+                 f"{', '.join(SCENARIOS.names())} "
+                 f"({SCENARIOS.choices_help()})")
         parser.add_argument(
             "--eta", type=float, default=None,
             help="timestep accuracy parameter (hermite/block-hermite)")
@@ -76,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dt", type=float, default=1e-3, help="fixed timestep")
     sim.add_argument("--adaptive", action="store_true",
                      help="use the adaptive Aarseth shared timestep")
-    # no argparse choices= here: the registry is open (register_backend),
+    # no argparse choices= here: the registry is open (BACKENDS.register),
     # and unknown names get the registry's own exit-2 diagnostic
     sim.add_argument("--backend", default="device",
                      help="registered force backend, one of: "
-                          f"{', '.join(backend_names())} "
-                          f"({backend_choices_help()})")
+                          f"{', '.join(BACKENDS.names())} "
+                          f"({BACKENDS.choices_help()})")
     sim.add_argument("--cores", type=int, default=None,
                      help="Tensix cores (tt backends; registry default 8)")
     sim.add_argument("--cards", type=int, default=None,
@@ -256,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="use the adaptive Aarseth shared timestep")
     sbm.add_argument("--backend", default="device",
                      help="registered force backend, one of: "
-                          f"{', '.join(backend_names())}")
+                          f"{', '.join(BACKENDS.names())}")
     sbm.add_argument("--cores", type=int, default=None)
     sbm.add_argument("--cards", type=int, default=None)
     sbm.add_argument("--workers", default=None, choices=WORKER_MODES)

@@ -6,9 +6,11 @@ predictor-corrector (:mod:`~repro.core.hermite`), Aarseth timestep control
 (:mod:`~repro.core.timestep`), star-cluster initial conditions
 (:mod:`~repro.core.initial_conditions`), conserved-quantity diagnostics
 (:mod:`~repro.core.energy`), the paper's accuracy gates
-(:mod:`~repro.core.validation`), and a backend-agnostic simulation driver
-(:mod:`~repro.core.simulation`) that the CPU-reference and Wormhole
-backends plug into.
+(:mod:`~repro.core.validation`), a backend-agnostic simulation driver
+(:mod:`~repro.core.simulation`) over the force-backend protocol
+(:mod:`~repro.core.protocol`) that the CPU-reference and Wormhole
+backends plug into, and the one registry (:mod:`~repro.core.registry`)
+that names backends, integrators and scenarios.
 """
 
 from .analysis import (
@@ -30,14 +32,10 @@ from .forces import (
 )
 from .hermite import HermiteStepResult, correct, hermite_step, predict
 from .integrators import (
+    INTEGRATORS,
     Integrator,
     IntegratorSpec,
-    RegisteredIntegrator,
-    integrator_choices_help,
-    integrator_entry,
-    integrator_names,
     make_integrator,
-    register_integrator,
 )
 from .leapfrog import LeapfrogDriver, leapfrog_step
 from .initial_conditions import (
@@ -57,15 +55,16 @@ from .orbit import (
 )
 from .particles import ParticleSystem
 from .profiles import HernquistProfile, PlummerProfile, UniformSphereProfile
-from .scenarios import (
-    RegisteredScenario,
-    ScenarioSpec,
-    make_scenario,
-    register_scenario,
-    scenario_choices_help,
-    scenario_entry,
-    scenario_names,
+from .protocol import (
+    TargetedForceBackend,
+    TracedForceBackend,
+    accepts_trace,
+    compute_on_targets,
+    normalize_targets,
+    supports_targets,
 )
+from .registry import OptionSpec, Registry, Spec
+from .scenarios import SCENARIOS, ScenarioSpec, make_scenario
 from .simulation import (
     CycleRecord,
     Driver,
@@ -126,21 +125,22 @@ __all__ = [
     "correct",
     "hermite_step",
     "predict",
+    "INTEGRATORS",
     "Integrator",
     "IntegratorSpec",
-    "RegisteredIntegrator",
-    "integrator_choices_help",
-    "integrator_entry",
-    "integrator_names",
     "make_integrator",
-    "register_integrator",
-    "RegisteredScenario",
+    "TargetedForceBackend",
+    "TracedForceBackend",
+    "accepts_trace",
+    "compute_on_targets",
+    "normalize_targets",
+    "supports_targets",
+    "OptionSpec",
+    "Registry",
+    "Spec",
+    "SCENARIOS",
     "ScenarioSpec",
     "make_scenario",
-    "register_scenario",
-    "scenario_choices_help",
-    "scenario_entry",
-    "scenario_names",
     "binary",
     "cluster_with_binary",
     "hernquist",

@@ -19,7 +19,7 @@ The scheme:
    and is allowed to at most double per update.
 
 Forces come from the backend's target-subset evaluation
-(:func:`~repro.backends.protocol.compute_on_targets`), so each block
+(:func:`~repro.core.protocol.compute_on_targets`), so each block
 dispatches only the active block's i-rows (i-tile subsets on the device
 backends, row subsets on the CPU ones) and its timeline carries the
 backend's subset-priced segments.

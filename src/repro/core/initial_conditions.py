@@ -80,6 +80,11 @@ def plummer(
     distant particle cannot dominate the virial scaling.
     """
     _require_n(n, 2)
+    if cutoff_radius <= 0:
+        # the resampling loop below would never accept a radius
+        raise ConfigurationError(
+            f"cutoff_radius must be positive, got {cutoff_radius}"
+        )
     rng = np.random.default_rng(seed)
     mass = np.full(n, 1.0 / n)
 

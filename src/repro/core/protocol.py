@@ -1,12 +1,8 @@
 """The force-backend protocol: the seam between the driver and the engines.
 
-Historically :class:`ForceBackend`, :class:`ForceEvaluation` and
-:class:`TimelineSegment` lived inside ``repro.core.simulation``; they are
-now defined here — the *floor* of the backends layer — and re-exported from
-:mod:`repro.core` for compatibility.  This module is deliberately
-dependency-free (NumPy only): it sits *below* ``repro.core`` in the import
-graph so the driver, the CPU reference, and the Wormhole port can all
-implement or consume the protocol without cycles, while the rest of
+This module is deliberately dependency-free (NumPy only), so the driver,
+the CPU reference, and the Wormhole and particle-mesh ports can all
+implement or consume the protocol without cycles, while
 :mod:`repro.backends` (registry, sharded composite) sits *above* the
 competitors and composes them.
 

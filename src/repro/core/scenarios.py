@@ -2,13 +2,13 @@
 
 ``RunSpec.make_system`` used to hardcode ``plummer(n, seed)``; every
 other generator in :mod:`repro.core.initial_conditions` was reachable
-only by writing a script.  A :class:`ScenarioSpec` — a name plus typed
+only by writing a script.  A :data:`ScenarioSpec` — a name plus typed
 options — is the declarative form of an initial-condition family,
-mirroring :class:`~repro.backends.registry.BackendSpec` and
-:class:`~repro.core.integrators.IntegratorSpec`:
+mirroring :data:`~repro.backends.registry.BackendSpec` and
+:data:`~repro.core.integrators.IntegratorSpec`:
 :func:`make_scenario` realises it into a
 :class:`~repro.core.particles.ParticleSystem` for a given ``(n, seed)``,
-and :func:`register_scenario` lets new families join the CLI choices,
+and ``SCENARIOS.register`` lets new families join the CLI choices,
 RunSpec round-trips, and the per-scenario energy gates.
 
 The six built-ins wrap the generators one to one.  ``n`` and ``seed``
@@ -20,11 +20,8 @@ clusters, and the binary scenario is fixed at two bodies (``n`` and
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
-from ..backends.registry import OptionSpec
 from ..errors import ConfigurationError, UnknownScenarioError
 from .initial_conditions import (
     binary,
@@ -35,135 +32,23 @@ from .initial_conditions import (
     uniform_sphere,
 )
 from .particles import ParticleSystem
+from .registry import OptionSpec, Registry, Spec, positive
 
-__all__ = [
-    "ScenarioSpec",
-    "RegisteredScenario",
-    "register_scenario",
-    "make_scenario",
-    "scenario_names",
-    "scenario_entry",
-    "scenario_choices_help",
-]
+__all__ = ["SCENARIOS", "ScenarioSpec", "make_scenario"]
 
+#: A scenario, declaratively: registry name + option overrides.
+ScenarioSpec = Spec
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A scenario, declaratively: registry name + option overrides."""
-
-    name: str
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "options", dict(self.options))
-
-    def with_options(self, **overrides: Any) -> "ScenarioSpec":
-        """A copy of this spec with extra/replaced options."""
-        merged = dict(self.options)
-        merged.update(overrides)
-        return ScenarioSpec(self.name, merged)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready mapping form of this spec."""
-        return {"name": self.name, "options": dict(self.options)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any] | str) -> "ScenarioSpec":
-        """Build a spec from a mapping or a bare scenario name."""
-        if isinstance(data, str):
-            return cls(data)
-        if "name" not in data:
-            raise ConfigurationError(f"scenario spec needs a 'name': {data!r}")
-        return cls(str(data["name"]), dict(data.get("options", {})))
-
-    def to_json(self) -> str:
-        """Canonical JSON form of this spec."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Parse a spec from its JSON form."""
-        return cls.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class RegisteredScenario:
-    """One registry entry: factory, typed options, and help text."""
-
-    name: str
-    factory: Callable[..., ParticleSystem]
-    description: str
-    options: tuple[OptionSpec, ...] = ()
-
-    def resolve_options(self, overrides: Mapping[str, Any]) -> dict[str, Any]:
-        """Defaults merged with validated overrides; unknown keys raise."""
-        table = {o.name: o for o in self.options}
-        unknown = sorted(set(overrides) - set(table))
-        if unknown:
-            raise ConfigurationError(
-                f"scenario {self.name!r} does not accept option(s) "
-                f"{unknown}; known: {sorted(table)}"
-            )
-        resolved = {o.name: o.default for o in self.options}
-        for key, value in overrides.items():
-            resolved[key] = table[key].coerce(value)
-        return resolved
-
-
-_REGISTRY: dict[str, RegisteredScenario] = {}
-
-
-def register_scenario(
-    name: str,
-    factory: Callable[..., ParticleSystem],
-    *,
-    description: str = "",
-    options: tuple[OptionSpec, ...] = (),
-) -> RegisteredScenario:
-    """Add a scenario to the registry (re-registration replaces)."""
-    if not name:
-        raise ConfigurationError("scenario name must be non-empty")
-    entry = RegisteredScenario(name, factory, description, options)
-    # repro-lint: disable=RH010 - registration happens at import time,
-    # before any shard thread starts; threads only read the registry.
-    _REGISTRY[name] = entry
-    return entry
-
-
-def scenario_names() -> tuple[str, ...]:
-    """All registered scenario names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def scenario_entry(name: str) -> RegisteredScenario:
-    """Registry lookup by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownScenarioError(
-            f"unknown scenario {name!r}; registered scenarios: "
-            f"{', '.join(scenario_names())}"
-        ) from None
-
-
-def scenario_choices_help() -> str:
-    """One-line-per-scenario help text derived from the registry."""
-    return "; ".join(
-        f"{entry.name}: {entry.description}"
-        for _, entry in sorted(_REGISTRY.items())
-    )
+SCENARIOS = Registry("scenario", UnknownScenarioError)
 
 
 def make_scenario(
-    spec: "ScenarioSpec | str", n: int, seed: int, **extra: Any
+    spec: "Spec | str | Mapping[str, Any]", n: int, seed: int, **extra: Any
 ) -> ParticleSystem:
-    """Realise a :class:`ScenarioSpec` (or bare name) for ``(n, seed)``."""
-    if isinstance(spec, str):
-        spec = ScenarioSpec(spec)
-    entry = scenario_entry(spec.name)
-    overrides = dict(spec.options)
-    overrides.update(extra)
-    return entry.factory(n, seed, **entry.resolve_options(overrides))
+    """Realise a scenario spec (a :class:`Spec`, name or mapping) for
+    ``(n, seed)``."""
+    entry, options = SCENARIOS.resolve(spec, **extra)
+    return entry.factory(n, seed, **options)
 
 
 # --------------------------------------------------------------------------
@@ -214,17 +99,17 @@ def _make_cluster_with_binary(n, seed, *, binary_mass_fraction,
     )
 
 
-register_scenario(
+SCENARIOS.register(
     "plummer", _make_plummer,
     description="equal-mass Plummer sphere in Henon units (the default)",
     options=(
         OptionSpec("virial_scaled", bool, True,
                    "rescale to exact virial equilibrium"),
         OptionSpec("cutoff_radius", float, 22.8,
-                   "outer truncation radius"),
+                   "outer truncation radius", validate=positive),
     ),
 )
-register_scenario(
+SCENARIOS.register(
     "uniform_sphere", _make_uniform_sphere,
     description="homogeneous sphere (cold collapse at virial_ratio 0)",
     options=(
@@ -233,14 +118,14 @@ register_scenario(
                    "-T/W kinetic support (0 = cold)"),
     ),
 )
-register_scenario(
+SCENARIOS.register(
     "hernquist", _make_hernquist,
     description="Hernquist sphere with isotropic Jeans velocities",
     options=(
         OptionSpec("scale_radius", float, 0.55, "Hernquist scale radius"),
     ),
 )
-register_scenario(
+SCENARIOS.register(
     "binary", _make_binary,
     description="two-body Keplerian binary at apoapsis (n/seed ignored)",
     options=(
@@ -250,7 +135,7 @@ register_scenario(
         OptionSpec("total_mass", float, 1.0, "combined mass"),
     ),
 )
-register_scenario(
+SCENARIOS.register(
     "cluster_collision", _make_cluster_collision,
     description="two Plummer clusters on a collision course "
                 "(n split between them)",
@@ -262,7 +147,7 @@ register_scenario(
                    "approach speed (default: parabolic)"),
     ),
 )
-register_scenario(
+SCENARIOS.register(
     "cluster_with_binary", _make_cluster_with_binary,
     description="hard binary at the centre of a Plummer background "
                 "(n includes the pair)",

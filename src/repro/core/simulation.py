@@ -17,27 +17,28 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import numpy as np
 
-# the protocol lives in the backends layer (its dependency-free floor);
+from ..errors import ConfigurationError
+from .hermite import correct, predict
+from .particles import ParticleSystem
 # re-exported for `from repro.core.simulation import ForceBackend, ...`
-from ..backends.protocol import (
+from .protocol import (
     ForceBackend,
     ForceEvaluation,
     TimelineSegment,
     accepts_trace,
     compute_on_targets,
+    normalize_targets,
 )
-from ..errors import ConfigurationError
-from .hermite import correct, predict
+from .registry import Spec
+from .timestep import SharedTimestep
+from .units import G_NBODY
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from ..observability import Trace
-from .particles import ParticleSystem
-from .timestep import SharedTimestep
-from .units import G_NBODY
 
 __all__ = [
     "TimelineSegment",
@@ -78,7 +79,6 @@ class ReferenceBackend:
         j-blocking as the full evaluation, so the rows are bit-identical to
         a full :meth:`compute` sliced at ``targets``.
         """
-        from ..backends.protocol import normalize_targets
         from .forces import accel_jerk_on_targets
 
         idx = normalize_targets(targets, mass.shape[0])
@@ -375,8 +375,8 @@ class Simulation:
 
     ``Simulation(system, backend, dt=...)`` runs shared-step Hermite;
     ``integrator=`` selects any scheme registered in
-    :mod:`repro.core.integrators` — a name (``"block-hermite"``) or an
-    :class:`~repro.core.integrators.IntegratorSpec` with options.  The
+    :mod:`repro.core.integrators` — a name (``"block-hermite"``), or a
+    :class:`~repro.core.registry.Spec` or mapping with options.  The
     chosen integrator is built once in the constructor; ``initialise``
     and ``run`` delegate to it.
 
@@ -394,27 +394,14 @@ class Simulation:
         timestep: SharedTimestep | None = None,
         host_cost: HostCostModel = HostCostModel(),
         trace: "Trace | None" = None,
-        integrator: "object | str | None" = None,
+        integrator: "Spec | str | Mapping[str, Any] | None" = None,
     ) -> None:
         # lazy: integrators imports this module (HermiteIntegrator)
-        from .integrators import IntegratorSpec, make_integrator
+        from .integrators import make_integrator
 
-        if integrator is None:
-            name = "hermite"
-            spec: IntegratorSpec | str = "hermite"
-        elif isinstance(integrator, str):
-            name = integrator
-            spec = integrator
-        elif isinstance(integrator, IntegratorSpec):
-            name = integrator.name
-            spec = integrator
-        else:
-            raise ConfigurationError(
-                f"integrator must be a name or IntegratorSpec, "
-                f"got {integrator!r}"
-            )
+        spec = Spec.from_dict(integrator or "hermite")
         if timestep is not None:
-            if name != "hermite":
+            if spec.name != "hermite":
                 raise ConfigurationError(
                     "timestep= is only valid with the hermite integrator"
                 )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends.protocol import ForceEvaluation, TimelineSegment
+from ..core.protocol import ForceEvaluation, TimelineSegment, normalize_targets
 from ..errors import ConfigurationError
 from .mpi import FakeComm, split_counts
 from .openmp import OpenMPModel, chunk_ranges
@@ -111,8 +111,6 @@ class CPUForceBackend:
         block (``subset_eval_seconds``) under the same per-job noise
         factor.
         """
-        from ..backends.protocol import normalize_targets
-
         n = mass.shape[0]
         idx = normalize_targets(targets, n)
         acc = np.empty((idx.size, 3))

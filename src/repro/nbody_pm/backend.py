@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends.protocol import (
+from ..core.protocol import (
     ForceEvaluation,
     TimelineSegment,
     normalize_targets,

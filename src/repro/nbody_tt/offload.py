@@ -14,12 +14,11 @@ pins the two against each other at small N.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends.protocol import (
+from ..core.protocol import (
     ForceEvaluation,
     TimelineSegment,
     normalize_targets,
@@ -210,8 +209,7 @@ class TTForceBackend:
             raise ConfigurationError(
                 f"cb_buffering must be >= 1, got {cb_buffering}"
             )
-        if engine is None:
-            engine = os.environ.get("REPRO_TT_ENGINE", "batched")
+        engine = engine or "batched"
         if engine not in _ENGINES:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; expected one of {_ENGINES}"

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..backends.protocol import TimelineSegment
+from ..core.protocol import TimelineSegment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..backends.runspec import RunSpec
@@ -143,9 +143,9 @@ class JobSpec:
         The inverse of :meth:`to_runspec`: any ``tt``-family backend maps
         to an accelerated job, everything else to a reference job.
         """
-        from ..backends import backend_entry
+        from ..backends import BACKENDS
 
-        name = backend_entry(spec.backend.name).name
+        name = BACKENDS.entry(spec.backend.name).name
         options = dict(spec.backend.options)
         if name.startswith("tt"):
             fields = dict(

@@ -7,7 +7,7 @@ float64 golden reference (``validate_forces`` encodes the thresholds).
 
 import pytest
 
-from repro.backends import make_backend
+from repro.backends import BACKENDS, make_backend
 from repro.core import plummer, validate_forces
 
 #: Per-backend problem size: small enough to stay fast, large enough to
@@ -17,7 +17,6 @@ PARITY_N = {
     "reference": 1024,
     "cpu": 1024,
     "tt": 1024,
-    "tt-per-block": 1024,
     "tt-ds": 512,
     "tt-matmul": 1024,
 }
@@ -43,9 +42,7 @@ def test_backend_passes_paper_gates(name):
 def test_parity_table_covers_every_registered_backend():
     """New registry entries must join the parity matrix above (or the
     PM carve-out, which has its own accuracy gate)."""
-    from repro.backends import backend_names
-
-    assert set(PARITY_N) | PM_BACKENDS == set(backend_names())
+    assert set(PARITY_N) | PM_BACKENDS == set(BACKENDS.names())
     assert not set(PARITY_N) & PM_BACKENDS
 
 

@@ -8,21 +8,20 @@ protocol names it historically owned.
 
 import numpy as np
 
-from repro.backends import accepts_trace, make_backend
-from repro.backends.protocol import (
+from repro.backends import BACKENDS, make_backend
+from repro.core.protocol import (
     ForceBackend,
     ForceEvaluation,
     TimelineSegment,
     TracedForceBackend,
+    accepts_trace,
 )
 from repro.observability import Trace
 
 
 class TestProtocolMembership:
     def test_every_registered_backend_satisfies_force_backend(self):
-        from repro.backends import backend_names
-
-        for name in backend_names():
+        for name in BACKENDS.names():
             assert isinstance(make_backend(name), ForceBackend), name
 
     def test_tt_backends_are_traced(self):

@@ -2,21 +2,13 @@
 
 import pytest
 
-from repro.backends import (
-    BackendSpec,
-    OptionSpec,
-    backend_choices_help,
-    backend_entry,
-    backend_names,
-    make_backend,
-    register_backend,
-)
-from repro.backends.registry import _REGISTRY
+from repro.backends import BACKENDS, BackendSpec, make_backend
+from repro.core import OptionSpec
 from repro.errors import ConfigurationError, ReproError, UnknownBackendError
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", backend_names())
+    @pytest.mark.parametrize("name", BACKENDS.names())
     def test_every_registered_name_realises_via_json(self, name):
         """name -> spec -> JSON -> spec -> live backend, for every entry."""
         spec = BackendSpec(name)
@@ -46,7 +38,7 @@ class TestLookup:
             make_backend("nope")
         message = str(err.value)
         assert "nope" in message
-        for name in backend_names():
+        for name in BACKENDS.names():
             assert name in message
 
     def test_unknown_backend_error_is_repro_error(self):
@@ -54,11 +46,11 @@ class TestLookup:
         assert issubclass(UnknownBackendError, ReproError)
 
     def test_device_alias_resolves_to_tt(self):
-        assert backend_entry("device") is backend_entry("tt")
+        assert BACKENDS.entry("device") is BACKENDS.entry("tt")
 
     def test_choices_help_mentions_every_backend(self):
-        text = backend_choices_help()
-        for name in backend_names():
+        text = BACKENDS.choices_help()
+        for name in BACKENDS.names():
             assert name in text
 
 
@@ -109,17 +101,22 @@ class TestConstruction:
             make_backend("tt", cards=0)
 
     def test_per_block_entry_pins_engine(self):
-        assert make_backend("tt-per-block", cores=2).engine == "per-block"
+        """The per-block oracle is reached through ``tt``'s engine option."""
+        assert make_backend("tt", engine="per-block", cores=2).engine \
+            == "per-block"
 
     def test_reregistration_replaces(self):
-        saved = _REGISTRY["reference"]
+        saved = BACKENDS.entry("reference")
         sentinel = object()
         try:
-            register_backend("reference", lambda: sentinel)
+            BACKENDS.register("reference", lambda: sentinel)
             assert make_backend("reference") is sentinel
         finally:
-            _REGISTRY["reference"] = saved
-        assert backend_entry("reference") is saved
+            BACKENDS.register(
+                saved.name, saved.factory, description=saved.description,
+                options=saved.options, aliases=saved.aliases,
+            )
+        assert BACKENDS.entry("reference") == saved
 
 
 def test_no_direct_backend_construction_outside_backends_layer():

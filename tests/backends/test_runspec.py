@@ -9,6 +9,54 @@ from repro.errors import ConfigurationError
 from repro.telemetry import JobSpec
 
 
+def _named(field, name, **options):
+    return {field: {"name": name, "options": options}}
+
+
+def _backend(name, **options):
+    return _named("backend", name, **options)
+
+
+#: RunSpec fields (JSON form) outside a domain the constructors enforce,
+#: and the option the rejection names.  A bad ``workers`` spelling is
+#: rejected whether or not the spec shards.
+OUT_OF_DOMAIN = [
+    pytest.param(_backend("tt", cards=cards, workers=workers), "workers",
+                 id=f"tt-workers-{workers}-{cards}")
+    for workers in ("turbo", "process") for cards in (1, 2)
+] + [
+    pytest.param(fields, match, id=case) for case, fields, match in [
+        ("tt-fmt", _backend("tt", fmt="bogus"), "fmt"),
+        ("tt-cb_buffering", _backend("tt", cb_buffering=0), "cb_buffering"),
+        ("tt-softening", _backend("tt", softening=-1.0), "softening"),
+        ("tt-engine", _backend("tt", engine="turbo"), "engine"),
+        ("tt-cores", _backend("tt", cores=65), "cores"),
+        ("tt-cards", _backend("tt", cards=0), "cards"),
+        ("tt-pm-mesh", _backend("tt-pm", mesh=33), "mesh"),
+        ("tt-pm-cutoff", _backend("tt-pm", cutoff=-1.0), "cutoff"),
+        ("tt-pm-cores", _backend("tt-pm", cores=0), "cores"),
+        ("cpu-pm-mesh", _backend("cpu-pm", mesh=512), "mesh"),
+        ("cpu-threads", _backend("cpu", threads=0), "threads"),
+        ("reference-softening", _backend("reference", softening=-1.0),
+         "softening"),
+        ("hermite-criterion",
+         {"adaptive": True,
+          **_named("integrator", "hermite", criterion="bogus")},
+         "criterion"),
+        ("block-hermite-levels-0",
+         _named("integrator", "block-hermite", block_levels=0),
+         "block_levels"),
+        ("block-hermite-levels-99",
+         _named("integrator", "block-hermite", block_levels=99),
+         "block_levels"),
+        ("plummer-cutoff_radius",
+         _named("scenario", "plummer", cutoff_radius=-1.0),
+         "cutoff_radius"),
+        ("runspec-softening", {"softening": -1.0}, "softening"),
+    ]
+]
+
+
 class TestJsonRoundTrip:
     def test_round_trip_preserves_everything(self):
         spec = RunSpec(
@@ -192,16 +240,13 @@ class TestCanonicalHash:
         with pytest.raises(ConfigurationError):
             spec.canonical_hash()
 
-    @pytest.mark.parametrize("cards", [1, 2])
-    @pytest.mark.parametrize("workers", ["turbo", "process"])
-    def test_unknown_workers_rejected(self, cards, workers):
-        """A bad ``workers`` spelling gets no cache identity of its own,
-        whether or not the spec shards."""
-        spec = RunSpec.from_json(RunSpec(
-            backend=BackendSpec("tt", {"cards": cards, "workers": workers})
-        ).to_json())
-        with pytest.raises(ConfigurationError, match="workers"):
-            spec.canonical_hash()
+    @pytest.mark.parametrize("fields, match", OUT_OF_DOMAIN)
+    def test_out_of_domain_rejected(self, fields, match):
+        """An out-of-domain value gets no cache identity of its own: it
+        fails at hashing, as its functional run would fail to build."""
+        data = {**RunSpec().to_dict(), **fields}
+        with pytest.raises(ConfigurationError, match=match):
+            RunSpec.from_dict(data).canonical_hash()
 
     def test_hash_is_hex_sha256(self):
         digest = RunSpec().canonical_hash()

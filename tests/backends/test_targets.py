@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.backends import make_backend
-from repro.backends.protocol import (
+from repro.core.protocol import (
     compute_on_targets,
     normalize_targets,
     supports_targets,

@@ -21,9 +21,9 @@ import pytest
 
 from repro.backends import make_backend
 from repro.core import (
+    INTEGRATORS,
     HostCostModel,
     ReferenceBackend,
-    integrator_names,
     make_integrator,
     make_scenario,
     plummer,
@@ -34,7 +34,7 @@ N = 256
 DT = 1e-3
 HOST = HostCostModel(seconds_per_particle_cycle=1e-7, init_seconds=0.25)
 
-BACKENDS = {
+BACKEND_CASES = {
     "reference": ("reference", {}),
     "tt": ("tt", {"cores": 4}),
     "tt-2card": ("tt", {"cores": 4, "cards": 2}),
@@ -59,7 +59,7 @@ def _record_evaluations(backend) -> list[tuple]:
 
 
 def _run(integrator: str, backend_key: str, traced: bool) -> dict:
-    name, options = BACKENDS[backend_key]
+    name, options = BACKEND_CASES[backend_key]
     system = make_scenario("cluster_with_binary", N, 9)
     backend = make_backend(name, **options)
     evaluations = _record_evaluations(backend)
@@ -79,7 +79,7 @@ def _run(integrator: str, backend_key: str, traced: bool) -> dict:
 
 @pytest.fixture(
     scope="module",
-    params=[(i, b) for i in integrator_names() for b in BACKENDS],
+    params=[(i, b) for i in INTEGRATORS.names() for b in BACKEND_CASES],
     ids=lambda p: f"{p[0]}-{p[1]}",
 )
 def runs(request):

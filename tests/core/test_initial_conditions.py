@@ -1,5 +1,10 @@
 """Tests for initial-condition generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,8 @@ from repro.core.initial_conditions import (
     uniform_sphere,
 )
 from repro.errors import ConfigurationError
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestPlummer:
@@ -49,6 +56,30 @@ class TestPlummer:
     def test_minimum_n(self):
         with pytest.raises(ConfigurationError):
             plummer(1)
+
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0])
+    def test_nonpositive_cutoff_rejected(self, cutoff):
+        """No radius falls under such a cutoff, so resampling would never
+        end.  Runs in a child with a timeout: a regression fails here
+        instead of hanging the suite."""
+        script = (
+            "from repro.core.initial_conditions import plummer\n"
+            "from repro.errors import ConfigurationError\n"
+            "try:\n"
+            f"    plummer(256, seed=1, cutoff_radius={cutoff!r})\n"
+            "except ConfigurationError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('plummer accepted the cutoff')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(_SRC), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestUniformSphere:

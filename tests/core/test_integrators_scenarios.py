@@ -15,19 +15,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import BackendSpec, RunSpec
+from repro.backends import BackendSpec, RunSpec, make_backend
 from repro.core import (
+    INTEGRATORS,
+    SCENARIOS,
     BlockHermiteIntegrator,
     IntegratorSpec,
     ReferenceBackend,
     ScenarioSpec,
     energy_report,
-    integrator_entry,
-    integrator_names,
     make_integrator,
     make_scenario,
-    scenario_entry,
-    scenario_names,
 )
 from repro.errors import (
     ConfigurationError,
@@ -38,13 +36,13 @@ from repro.errors import (
 
 class TestIntegratorRegistry:
     def test_builtins_registered(self):
-        assert set(integrator_names()) >= {
+        assert set(INTEGRATORS.names()) >= {
             "hermite", "block-hermite", "leapfrog"
         }
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(UnknownIntegratorError, match="hermite"):
-            integrator_entry("rk4")
+            INTEGRATORS.entry("rk4")
 
     def test_spec_json_round_trip(self):
         spec = IntegratorSpec("block-hermite", {"eta": 0.01})
@@ -55,7 +53,21 @@ class TestIntegratorRegistry:
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ConfigurationError, match="leapfrog"):
-            integrator_entry("leapfrog").resolve_options({"eta": 0.1})
+            INTEGRATORS.resolve("leapfrog", eta=0.1)
+
+
+def test_make_functions_accept_a_mapping_spec():
+    """A spec in its JSON mapping form realises like a Spec or a name."""
+    system = make_scenario(
+        {"name": "binary", "options": {"semi_major_axis": 0.5}}, 2, 0
+    )
+    assert np.linalg.norm(system.pos[0] - system.pos[1]) == \
+        pytest.approx(0.5)
+    backend = make_backend({"name": "reference",
+                            "options": {"softening": 0.25}})
+    assert backend.softening == 0.25
+    sim = make_integrator({"name": "leapfrog"}, system, backend, dt=1e-3)
+    assert sim.name == "leapfrog"
 
 
 class TestPowerOfTwoDtMax:
@@ -68,9 +80,7 @@ class TestPowerOfTwoDtMax:
     @pytest.mark.parametrize("bad", [0.3, 0.1, 3.0, 0.75])
     def test_option_spec_rejects(self, bad):
         with pytest.raises(ConfigurationError, match="power of two"):
-            integrator_entry("block-hermite").resolve_options(
-                {"dt_max": bad}
-            )
+            INTEGRATORS.resolve("block-hermite", dt_max=bad)
 
     @pytest.mark.parametrize("bad", [0.3, 0.1, 3.0, 0.75])
     def test_direct_construction_rejects(self, bad):
@@ -83,9 +93,7 @@ class TestPowerOfTwoDtMax:
 
     @pytest.mark.parametrize("good", [0.0625, 0.5, 1.0, 2.0, 2.0**-10])
     def test_powers_of_two_accepted(self, good):
-        opts = integrator_entry("block-hermite").resolve_options(
-            {"dt_max": good}
-        )
+        _, opts = INTEGRATORS.resolve("block-hermite", dt_max=good)
         assert opts["dt_max"] == good
 
     def test_nonpositive_still_rejected(self):
@@ -99,14 +107,14 @@ class TestPowerOfTwoDtMax:
 
 class TestScenarioRegistry:
     def test_all_six_generators_registered(self):
-        assert set(scenario_names()) == {
+        assert set(SCENARIOS.names()) == {
             "plummer", "uniform_sphere", "hernquist", "binary",
             "cluster_collision", "cluster_with_binary",
         }
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(UnknownScenarioError, match="plummer"):
-            scenario_entry("king")
+            SCENARIOS.entry("king")
 
     def test_spec_json_round_trip(self):
         spec = ScenarioSpec("hernquist", {"scale_radius": 0.3})
@@ -152,7 +160,7 @@ GATED_SCENARIOS = {
 
 class TestEnergyConservationGates:
     @pytest.mark.parametrize("scenario", sorted(GATED_SCENARIOS))
-    @pytest.mark.parametrize("integrator", sorted(integrator_names()))
+    @pytest.mark.parametrize("integrator", INTEGRATORS.names())
     def test_energy_gate(self, integrator, scenario):
         system = make_scenario(scenario, 64, 7)
         initial = energy_report(system)
@@ -168,7 +176,7 @@ class TestEnergyConservationGates:
 
 class TestRunSpecIntegration:
     def test_runspec_builds_each_integrator(self):
-        for name in integrator_names():
+        for name in INTEGRATORS.names():
             spec = RunSpec(
                 n=32, dt=1e-4, backend=BackendSpec("reference"),
                 integrator=name, scenario="hernquist",

@@ -5,7 +5,7 @@ import argparse
 import numpy as np
 import pytest
 
-from repro.backends import BackendSpec, RunSpec, backend_names, make_backend
+from repro.backends import BACKENDS, BackendSpec, RunSpec, make_backend
 from repro.core import uniform_sphere
 from repro.metalium import CloseDevice
 from repro.nbody_pm import PMForceBackend
@@ -24,8 +24,8 @@ def close(backend):
 
 class TestRegistry:
     def test_pm_backends_are_registered(self):
-        assert "tt-pm" in backend_names()
-        assert "cpu-pm" in backend_names()
+        assert "tt-pm" in BACKENDS.names()
+        assert "cpu-pm" in BACKENDS.names()
 
     def test_make_backend_with_options(self, system):
         backend = make_backend("tt-pm", mesh=64, cutoff=3.0, cores=4)

@@ -278,14 +278,11 @@ class TestEngineSelection:
         backend = TTForceBackend(CreateDevice(0), n_cores=1)
         assert backend.engine == "batched"
 
-    def test_env_override(self, monkeypatch):
+    def test_env_var_does_not_select_engine(self, monkeypatch):
+        """The engine comes from the argument alone: the per-block oracle
+        is not an environment switch."""
         monkeypatch.setenv("REPRO_TT_ENGINE", "per-block")
         backend = TTForceBackend(CreateDevice(0), n_cores=1)
-        assert backend.engine == "per-block"
-        # an explicit argument wins over the environment
-        backend = TTForceBackend(
-            CreateDevice(0), n_cores=1, engine="batched"
-        )
         assert backend.engine == "batched"
 
     def test_unknown_engine_rejected(self):

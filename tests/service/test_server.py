@@ -17,6 +17,7 @@ from repro.service import (
     ServiceClient,
     ServiceThread,
 )
+from tests.backends.test_runspec import OUT_OF_DOMAIN
 
 SPEC = RunSpec(n=1024, cycles=2)
 
@@ -281,20 +282,20 @@ class TestHttpSurface:
             urllib.request.urlopen(req)
         assert exc_info.value.code == 400
 
-    def test_unknown_workers_spec_is_400(self, service):
+    @pytest.mark.parametrize("fields, match", OUT_OF_DOMAIN)
+    def test_out_of_domain_spec_is_400(self, service, fields, match):
+        """Rejected at submission, never queued to hold a card worker."""
         import urllib.error
 
-        spec = RunSpec(n=64, cycles=1).with_backend(
-            "tt", cards=2, workers="process"
-        )
+        spec = {**RunSpec(n=64, cycles=1).to_dict(), **fields}
         req = urllib.request.Request(
             service.url + "/v1/jobs", method="POST",
-            data=json.dumps({"spec": spec.to_dict()}).encode(),
+            data=json.dumps({"spec": spec}).encode(),
         )
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req)
         assert exc_info.value.code == 400
-        assert "workers" in json.loads(exc_info.value.read())["error"]
+        assert match in json.loads(exc_info.value.read())["error"]
 
     def test_unknown_route_is_404(self, service):
         import urllib.error

@@ -107,8 +107,7 @@ class TestReproTraceEnv:
 class TestProfileFallback:
     """`repro simulate --profile` must not crash on the batched engine."""
 
-    def test_batched_engine_profile_exits_zero(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_TT_ENGINE", "batched")
+    def test_batched_engine_profile_exits_zero(self, capsys):
         rc = main(["simulate", "--n", "512", "--cycles", "1",
                    "--backend", "device", "--cores", "2", "--profile"])
         assert rc == 0
@@ -135,11 +134,12 @@ class TestProfileFallback:
         assert "aggregated by batch" in text
         assert "batched engine: charge-only replay" in text
 
-    def test_per_block_engine_still_shows_core_table(self, monkeypatch,
-                                                     capsys):
-        monkeypatch.setenv("REPRO_TT_ENGINE", "per-block")
-        rc = main(["simulate", "--n", "512", "--cycles", "1",
-                   "--backend", "device", "--cores", "2", "--profile"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "critical path" in out
+    def test_per_block_engine_still_shows_core_table(self):
+        from repro.backends import make_backend
+        from repro.cli import _profile_report
+        from repro.core import plummer
+
+        backend = make_backend("tt", cores=2, engine="per-block")
+        s = plummer(512, seed=2)
+        backend.compute(s.pos, s.vel, s.mass)
+        assert "critical path" in _profile_report(backend)
