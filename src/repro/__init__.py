@@ -40,13 +40,9 @@ from .backends import (
     make_backend,
 )
 from .config import (
-    DEFAULT_BENCH_N_CYCLES,
-    DEFAULT_BENCH_N_PARTICLES,
     PAPER_N_CYCLES,
     PAPER_N_PARTICLES,
-    WorkloadScale,
     paper_scale_enabled,
-    select_workload_scale,
 )
 from .core import (
     ACC_TOLERANCE,
@@ -61,7 +57,6 @@ from .core import (
     Simulation,
     SimulationResult,
     TimelineSegment,
-    UnitSystem,
     ValidationReport,
     accel_jerk_reference,
     binary,
@@ -95,13 +90,9 @@ __all__ = [
     "RunSpec",
     "ShardedTTBackend",
     "make_backend",
-    "DEFAULT_BENCH_N_CYCLES",
-    "DEFAULT_BENCH_N_PARTICLES",
     "PAPER_N_CYCLES",
     "PAPER_N_PARTICLES",
-    "WorkloadScale",
     "paper_scale_enabled",
-    "select_workload_scale",
     "ACC_TOLERANCE",
     "G_NBODY",
     "JERK_TOLERANCE",
@@ -114,7 +105,6 @@ __all__ = [
     "Simulation",
     "SimulationResult",
     "TimelineSegment",
-    "UnitSystem",
     "ValidationReport",
     "accel_jerk_reference",
     "binary",

@@ -14,10 +14,13 @@ When no sanitizer is installed the check is one module-attribute read and
 an ``is None`` comparison — the zero-overhead-when-disabled contract.
 
 ``REPRO_SANITIZE=1`` in the environment installs a process-wide ambient
-context at import time, so every DRAM buffer created afterwards is
-tracked from birth and every enqueued program runs sanitized.  Explicit
-per-call sanitizing (``EnqueueProgram(..., sanitize=True)`` or
-``with SanitizerContext(): ...``) installs a context temporarily.
+context when the first DRAM buffer is created or the first program is
+enqueued (:func:`ambient`), so every buffer is tracked from birth and
+every enqueued program runs sanitized.  The variable is parsed there, not
+at import, so a malformed value fails that call instead of
+``import repro``.  Explicit per-call sanitizing
+(``EnqueueProgram(..., sanitize=True)`` or ``with SanitizerContext():
+...``) installs a context temporarily.
 
 This module must stay import-light: it is imported by
 :mod:`repro.metalium.buffer` and :mod:`repro.metalium.command_queue`, and
@@ -27,11 +30,16 @@ only pulls the sanitizer in when the environment asks for it.
 from __future__ import annotations
 
 import os
+import threading
 
-__all__ = ["active", "install", "uninstall", "env_sanitize_enabled"]
+__all__ = ["active", "ambient", "install", "uninstall",
+           "env_sanitize_enabled"]
 
 #: The active sanitizer context, or None.  Read on device-layer hot paths.
 _active = None
+#: True once :func:`ambient` has parsed ``REPRO_SANITIZE``.
+_env_read = False
+_env_lock = threading.Lock()
 
 
 def active():
@@ -59,11 +67,21 @@ def env_sanitize_enabled() -> bool:
     return env_flag(os.environ.get("REPRO_SANITIZE"), name="REPRO_SANITIZE")
 
 
-def _maybe_install_from_env() -> None:
-    if env_sanitize_enabled() and _active is None:
-        from .sanitizer import SanitizerContext
+def ambient():
+    """:func:`active`, after installing the ambient context that
+    ``REPRO_SANITIZE=1`` asks for.
 
-        install(SanitizerContext(ambient=True))
+    The variable is parsed on the first call only; a malformed value
+    raises :class:`~repro.errors.ConfigurationError` on every call until
+    it is fixed.
+    """
+    global _env_read
+    if not _env_read:
+        with _env_lock:
+            if not _env_read:
+                if env_sanitize_enabled() and _active is None:
+                    from .sanitizer import SanitizerContext
 
-
-_maybe_install_from_env()
+                    install(SanitizerContext(ambient=True))
+                _env_read = True
+    return _active

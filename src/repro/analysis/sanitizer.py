@@ -39,6 +39,7 @@ Enable it with ``REPRO_SANITIZE=1`` (process-wide, ambient),
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections.abc import Generator
 from dataclasses import dataclass
@@ -116,24 +117,33 @@ class SanitizerReport:
         return f"SanitizerReport(hazards={len(self.hazards)})"
 
 
+class _ThreadState(threading.local):
+    """What one host thread is executing.  Card threads (a threaded
+    :class:`~repro.backends.sharded.ShardedTTBackend`) share one context,
+    each running its own program."""
+
+    #: (core_index, kernel_name) currently executing, for attribution
+    current: tuple[int, str] | None = None
+    #: core indices of the running program (None outside programs)
+    active_cores: set[int] | None = None
+
+
 class SanitizerContext:
     """Hazard collector + the knobs for one sanitized execution scope.
 
     Usable as a context manager: entering installs it in
     :mod:`~repro.analysis.hooks` (so DRAM buffers created inside the scope
     are tracked and sanitized programs pick it up), leaving uninstalls it.
-    The ambient context created by ``REPRO_SANITIZE=1`` stays installed
-    for the process lifetime.
+    The ambient context ``REPRO_SANITIZE=1`` installs at the first DRAM
+    buffer stays installed for the process lifetime.
     """
 
     def __init__(self, *, halt: bool = True, ambient: bool = False) -> None:
         self.halt = halt
         self.ambient = ambient
         self.report = SanitizerReport()
-        #: (core_index, kernel_name) currently executing, for attribution
-        self.current: tuple[int, str] | None = None
-        #: core indices of the running program (None outside programs)
-        self.active_cores: set[int] | None = None
+        #: the running program and kernel, per host thread
+        self.thread = _ThreadState()
         #: per-DRAM-buffer sets of tile indices that were ever written
         self._written: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._prev: "SanitizerContext | None" = None
@@ -156,10 +166,11 @@ class SanitizerContext:
     def hazard(self, kind: str, message: str, *, core: int | None = None,
                kernel: str | None = None, cb_id: int | None = None) -> None:
         """Record one hazard; raise immediately when halting."""
-        if core is None and self.current is not None:
-            core = self.current[0]
-        if kernel is None and self.current is not None:
-            kernel = self.current[1]
+        current = self.thread.current
+        if core is None and current is not None:
+            core = current[0]
+        if kernel is None and current is not None:
+            kernel = current[1]
         hazard = Hazard(kind, message, core=core, kernel=kernel, cb_id=cb_id)
         self.report.hazards.append(hazard)
         if self.halt:
@@ -170,11 +181,11 @@ class SanitizerContext:
     # -- program scope (driven by the command queue) ------------------------
 
     def begin_program(self, program) -> None:
-        self.active_cores = set(program.core_range)
+        self.thread.active_cores = set(program.core_range)
 
     def end_program(self, program) -> None:
-        self.active_cores = None
-        self.current = None
+        self.thread.active_cores = None
+        self.thread.current = None
 
     def create_cb(self, core, config) -> "SanitizedCircularBuffer":
         """Build one sanitized CB on ``core`` (registered and L1-backed)."""
@@ -193,13 +204,13 @@ class SanitizerContext:
 
             def traced() -> Generator[None, None, None]:
                 while True:
-                    self.current = (core_index, name)
+                    self.thread.current = (core_index, name)
                     try:
                         next(inner)
                     except StopIteration:
                         return
                     finally:
-                        self.current = None
+                        self.thread.current = None
                     yield
 
             return traced()
@@ -263,7 +274,7 @@ class SanitizedCircularBuffer(CircularBuffer):
         ctx = self._san
         if self.owner is None:
             return
-        current = ctx.current
+        current, active_cores = ctx.thread.current, ctx.thread.active_cores
         if current is not None and current[0] != self.owner:
             ctx.hazard(
                 "cross-core-cb-access",
@@ -271,8 +282,7 @@ class SanitizedCircularBuffer(CircularBuffer):
                 f"{self.cb_id} owned by core {self.owner}",
                 cb_id=self.cb_id,
             )
-        elif (ctx.active_cores is not None
-              and self.owner not in ctx.active_cores):
+        elif active_cores is not None and self.owner not in active_cores:
             ctx.hazard(
                 "cross-core-cb-access",
                 f"cb {self.cb_id} on core {self.owner} accessed while the "
@@ -393,13 +403,13 @@ class SanitizedL1:
         try:
             self._inner.free(alloc)
         except AllocationError:
+            current = self._ctx.thread.current
             self._ctx.hazard(
                 "l1-double-free",
                 f"free of L1 allocation at offset {alloc.offset} "
                 f"({alloc.size} B) on core {self._core_id} which is not "
                 f"live (double free or foreign allocation)",
-                core=self._ctx.current[0] if self._ctx.current
-                else self._core_id,
+                core=current[0] if current else self._core_id,
             )
             return
         self._live_during.pop(alloc.offset, None)

@@ -21,7 +21,6 @@ The force-backend protocol they build against lives in
 from .registry import BACKENDS, BackendSpec, make_backend
 from .runspec import RunSpec
 from .sharded import CardCost, ShardedTTBackend, shard_tiles
-from .variants import DSVariantBackend, MatmulVariantBackend
 
 __all__ = [
     "BACKENDS",
@@ -31,6 +30,4 @@ __all__ = [
     "CardCost",
     "ShardedTTBackend",
     "shard_tiles",
-    "DSVariantBackend",
-    "MatmulVariantBackend",
 ]

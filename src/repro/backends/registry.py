@@ -26,6 +26,7 @@ from ..core.registry import (
     in_range,
     one_of,
 )
+from ..cpuref.params import EPYC_9124_DUAL
 from ..errors import UnknownBackendError
 from ..wormhole.dtypes import DataFormat
 from ..wormhole.params import WORMHOLE_N300
@@ -93,18 +94,6 @@ def _make_tt(*, cores, cards, softening, fmt, cb_buffering, engine, workers):
     )
 
 
-def _make_tt_ds(*, softening: float, cores: int) -> ForceBackend:
-    from .variants import DSVariantBackend
-
-    return DSVariantBackend(softening=softening, n_cores=cores)
-
-
-def _make_tt_matmul(*, softening: float, cores: int) -> ForceBackend:
-    from .variants import MatmulVariantBackend
-
-    return MatmulVariantBackend(softening=softening, n_cores=cores)
-
-
 def _make_tt_pm(*, mesh: int, cutoff: float, softening: float,
                 cores: int) -> ForceBackend:
     from ..metalium.host_api import CreateDevice
@@ -135,7 +124,7 @@ BACKENDS.register(
     description="mixed-precision MPI+OpenMP+AVX-512 reference model",
     options=(
         OptionSpec("threads", int, 32, "OpenMP threads",
-                   validate=in_range(1)),
+                   validate=in_range(1, EPYC_9124_DUAL.hardware_threads)),
         _SOFTENING,
         OptionSpec("noisy", bool, False,
                    "apply the per-run duration noise of the paper's host"),
@@ -170,15 +159,6 @@ BACKENDS.register(
     ),
     aliases=("device",),  # the CLI's historical name for the offload
 )
-BACKENDS.register(
-    "tt-ds", _make_tt_ds,
-    description="double-single ablation: every pairwise op in DS "
-                "arithmetic, priced by DSCostModel",
-    options=(
-        _SOFTENING,
-        OptionSpec("cores", int, 8, "Tensix cores the cost model assumes"),
-    ),
-)
 #: Options shared by the particle-mesh family.  ``cutoff`` is in units of
 #: the mesh spacing; 0 disables the short-range correction (pure PM, for
 #: collisionless far-field runs).
@@ -206,13 +186,4 @@ BACKENDS.register(
     description="particle-mesh reference: same split and grids, "
                 "host-modelled FFT time",
     options=_PM_OPTIONS,
-)
-BACKENDS.register(
-    "tt-matmul", _make_tt_matmul,
-    description="tensor-FPU ablation: pair distances via Gram matmuls, "
-                "priced by MatmulVariantModel",
-    options=(
-        _SOFTENING,
-        OptionSpec("cores", int, 8, "Tensix cores the cost model assumes"),
-    ),
 )

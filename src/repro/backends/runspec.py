@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
@@ -112,9 +113,13 @@ class RunSpec:
             raise ConfigurationError(
                 f"cycles must be >= 0, got {self.cycles}"
             )
-        if self.softening < 0:
+        if not 0 < self.dt < math.inf:
             raise ConfigurationError(
-                f"softening must be >= 0, got {self.softening}"
+                f"dt must be positive and finite, got {self.dt}"
+            )
+        if not 0 <= self.softening < math.inf:
+            raise ConfigurationError(
+                f"softening must be finite and >= 0, got {self.softening}"
             )
         if self.lint not in ("off", "warn", "error"):
             raise ConfigurationError(

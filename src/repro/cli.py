@@ -342,8 +342,8 @@ def _profile_report(backend) -> str:
 
     A sharded composite reports its per-card cost accounting plus one
     occupancy table per card; a single-card offload reports its one table;
-    anything else (reference, cpu, the ablation variants) explains why
-    there is nothing to profile.
+    anything else (reference, cpu, cpu-pm) explains why there is nothing
+    to profile.
     """
     children = getattr(backend, "children", None)
     if children is not None:

@@ -8,7 +8,6 @@ next to the subsystem (``repro.wormhole.params``, ``repro.cpuref.params``,
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigurationError
@@ -17,10 +16,6 @@ __all__ = [
     "paper_scale_enabled",
     "PAPER_N_PARTICLES",
     "PAPER_N_CYCLES",
-    "DEFAULT_BENCH_N_PARTICLES",
-    "DEFAULT_BENCH_N_CYCLES",
-    "WorkloadScale",
-    "select_workload_scale",
     "env_flag",
     "env_str",
     "TRUTHY_ENV_VALUES",
@@ -78,12 +73,6 @@ def env_str(env: Mapping[str, str], name: str) -> str | None:
 PAPER_N_PARTICLES = 102_400
 PAPER_N_CYCLES = 10
 
-#: Scaled-down defaults used by the benchmark suite so the full harness runs
-#: in minutes.  8192 particles is 8 column-tiles of 1024 — large enough to
-#: exercise multi-tile distribution across Tensix cores.
-DEFAULT_BENCH_N_PARTICLES = 8_192
-DEFAULT_BENCH_N_CYCLES = 4
-
 
 def paper_scale_enabled() -> bool:
     """True when the benchmark suite should run the full paper workload.
@@ -93,28 +82,3 @@ def paper_scale_enabled() -> bool:
     """
     return env_flag(os.environ.get("REPRO_PAPER_SCALE"),
                     name="REPRO_PAPER_SCALE")
-
-
-@dataclass(frozen=True)
-class WorkloadScale:
-    """The particle count and cycle count a benchmark should run."""
-
-    n_particles: int
-    n_cycles: int
-    is_paper_scale: bool
-
-    @property
-    def label(self) -> str:
-        tag = "paper-scale" if self.is_paper_scale else "bench-scale"
-        return f"{tag} N={self.n_particles} cycles={self.n_cycles}"
-
-
-def select_workload_scale(
-    *,
-    bench_n: int = DEFAULT_BENCH_N_PARTICLES,
-    bench_cycles: int = DEFAULT_BENCH_N_CYCLES,
-) -> WorkloadScale:
-    """Pick bench-scale or paper-scale workload based on the environment."""
-    if paper_scale_enabled():
-        return WorkloadScale(PAPER_N_PARTICLES, PAPER_N_CYCLES, True)
-    return WorkloadScale(bench_n, bench_cycles, False)

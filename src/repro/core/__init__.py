@@ -13,15 +13,7 @@ backends plug into, and the one registry (:mod:`~repro.core.registry`)
 that names backends, integrators and scenarios.
 """
 
-from .analysis import (
-    ClusterReport,
-    cluster_report,
-    core_radius,
-    density_center,
-    half_mass_relaxation_time,
-    lagrangian_radii,
-    velocity_dispersion,
-)
+from .analysis import density_center, lagrangian_radii
 from .block_hermite import BlockHermiteIntegrator, BlockStats
 from .energy import EnergyReport, energy_report, kinetic_energy
 from .forces import (
@@ -77,14 +69,9 @@ from .simulation import (
     SimulationResult,
     TimelineSegment,
 )
-from .snapshots import load_csv, load_npz, save_csv, save_npz
-from .timestep import (
-    SharedTimestep,
-    aarseth_timestep,
-    initial_timestep,
-    quantize_block_timestep,
-)
-from .units import G_NBODY, HENON_CROSSING_TIME, UnitSystem
+from .snapshots import load_npz, save_npz
+from .timestep import SharedTimestep, aarseth_timestep, initial_timestep
+from .units import G_NBODY, HENON_CROSSING_TIME
 from .validation import (
     ACC_TOLERANCE,
     JERK_TOLERANCE,
@@ -94,13 +81,8 @@ from .validation import (
 )
 
 __all__ = [
-    "ClusterReport",
-    "cluster_report",
-    "core_radius",
     "density_center",
-    "half_mass_relaxation_time",
     "lagrangian_radii",
-    "velocity_dispersion",
     "BlockHermiteIntegrator",
     "BlockStats",
     "accel_jerk_on_targets",
@@ -157,17 +139,13 @@ __all__ = [
     "Simulation",
     "SimulationResult",
     "TimelineSegment",
-    "load_csv",
     "load_npz",
-    "save_csv",
     "save_npz",
     "SharedTimestep",
     "aarseth_timestep",
     "initial_timestep",
-    "quantize_block_timestep",
     "G_NBODY",
     "HENON_CROSSING_TIME",
-    "UnitSystem",
     "ACC_TOLERANCE",
     "JERK_TOLERANCE",
     "ValidationReport",

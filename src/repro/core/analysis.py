@@ -1,10 +1,7 @@
 """Cluster structure diagnostics for dense stellar systems.
 
 The observables astrophysicists extract from the simulations the paper
-targets: Lagrangian radii, the density centre (Casertano & Hut 1985), core
-radius and density, velocity dispersion, and relaxation-time estimates that
-set how long a cluster must be integrated — the quantity that makes
-*efficient* direct N-body codes matter in the first place.
+targets: Lagrangian radii and the density centre (Casertano & Hut 1985).
 
 All functions operate on a :class:`~repro.core.particles.ParticleSystem`
 in Henon units and are pure (no mutation).
@@ -12,23 +9,12 @@ in Henon units and are pure (no mutation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import NBodyError
 from .particles import ParticleSystem
-from .units import HENON_CROSSING_TIME
 
-__all__ = [
-    "lagrangian_radii",
-    "density_center",
-    "core_radius",
-    "velocity_dispersion",
-    "half_mass_relaxation_time",
-    "ClusterReport",
-    "cluster_report",
-]
+__all__ = ["lagrangian_radii", "density_center"]
 
 
 def lagrangian_radii(
@@ -83,77 +69,3 @@ def density_center(system: ParticleSystem, k: int = 6) -> np.ndarray:
     if total <= 0.0:
         return system.center_of_mass()
     return (rho[:, None] * system.pos).sum(axis=0) / total
-
-
-def core_radius(system: ParticleSystem, k: int = 6) -> float:
-    """Density-weighted core radius (Casertano & Hut 1985).
-
-    r_c = sqrt( sum rho_i^2 |r_i - r_d|^2 / sum rho_i^2 ).
-    """
-    if system.n <= k + 1:
-        raise NBodyError(f"need more than {k + 1} particles for a core radius")
-    rho = _knn_density(system, k)
-    center = density_center(system, k)
-    dr2 = np.einsum("ij,ij->i", system.pos - center, system.pos - center)
-    w = rho * rho
-    return float(np.sqrt(np.sum(w * dr2) / np.sum(w)))
-
-
-def velocity_dispersion(system: ParticleSystem) -> float:
-    """1-D mass-weighted velocity dispersion about the bulk motion."""
-    v_bulk = system.center_of_mass_velocity()
-    dv = system.vel - v_bulk
-    sigma2_3d = np.sum(system.mass * np.einsum("ij,ij->i", dv, dv))
-    return float(np.sqrt(sigma2_3d / (3.0 * system.total_mass)))
-
-
-def half_mass_relaxation_time(system: ParticleSystem) -> float:
-    """Spitzer (1987) half-mass relaxation time in N-body time units.
-
-    t_rh = 0.138 N r_h^{3/2} / (sqrt(M) ln(0.4 N))  with G = 1.
-
-    This is the timescale over which two-body encounters reshape the
-    cluster — the number of crossing times a production run must cover,
-    and hence the paper's performance motivation.
-    """
-    n = system.n
-    if n < 3:
-        raise NBodyError("relaxation time needs at least 3 particles")
-    r_half = float(lagrangian_radii(system, (0.5,))[0])
-    coulomb_log = np.log(max(0.4 * n, np.e))
-    return float(
-        0.138 * n * r_half ** 1.5
-        / (np.sqrt(system.total_mass) * coulomb_log)
-    )
-
-
-@dataclass(frozen=True)
-class ClusterReport:
-    """Bundle of structure diagnostics at one instant."""
-
-    time: float
-    lagrangian: np.ndarray      # r10, r50, r90
-    core_radius: float
-    sigma_1d: float
-    t_relax: float
-
-    @property
-    def half_mass_radius(self) -> float:
-        """Radius enclosing half the cluster mass (the 50% Lagrangian radius)."""
-        return float(self.lagrangian[1])
-
-    @property
-    def crossing_times_per_relaxation(self) -> float:
-        """Relaxation time in units of the Henon crossing time."""
-        return self.t_relax / HENON_CROSSING_TIME
-
-
-def cluster_report(system: ParticleSystem) -> ClusterReport:
-    """All structure diagnostics in one pass."""
-    return ClusterReport(
-        time=system.time,
-        lagrangian=lagrangian_radii(system),
-        core_radius=core_radius(system),
-        sigma_1d=velocity_dispersion(system),
-        t_relax=half_mass_relaxation_time(system),
-    )

@@ -80,20 +80,27 @@ def plummer(
     distant particle cannot dominate the virial scaling.
     """
     _require_n(n, 2)
-    if cutoff_radius <= 0:
-        # the resampling loop below would never accept a radius
+    # M(c) = c^3 / (1 + c^2)^{3/2}: the mass inside the cutoff, so the
+    # chance that a radius drawn from X ~ U(0, 1) lands inside it
+    m_cut = (cutoff_radius / np.hypot(1.0, cutoff_radius)) ** 3
+    if not m_cut > 0:
+        # no radius falls under the cutoff (c <= 0, or c^3 underflows)
         raise ConfigurationError(
-            f"cutoff_radius must be positive, got {cutoff_radius}"
+            f"cutoff_radius must be positive and not vanishingly small, "
+            f"got {cutoff_radius}"
         )
     rng = np.random.default_rng(seed)
     mass = np.full(n, 1.0 / n)
 
-    # Radii: r = (X^{-2/3} - 1)^{-1/2}, resampling beyond the cutoff.
+    # Radii: r = (X^{-2/3} - 1)^{-1/2}, resampling beyond the cutoff.  When
+    # M(c) < 1/2, X comes from U(0, M(c)) instead, so a small cutoff cannot
+    # stall the loop; the default cutoff keeps the U(0, 1) stream.
+    x_max = m_cut if m_cut < 0.5 else 1.0
     radii = np.empty(n)
     remaining = np.arange(n)
     while remaining.size:
-        x = rng.uniform(0.0, 1.0, remaining.size)
-        r = 1.0 / np.sqrt(np.maximum(x, 1e-12) ** (-2.0 / 3.0) - 1.0)
+        x = rng.uniform(0.0, x_max, remaining.size)
+        r = 1.0 / np.sqrt(np.maximum(x, 1e-12 * x_max) ** (-2.0 / 3.0) - 1.0)
         ok = r < cutoff_radius
         radii[remaining[ok]] = r[ok]
         remaining = remaining[~ok]

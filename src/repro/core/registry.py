@@ -101,13 +101,14 @@ class OptionSpec:
 
 def in_range(low: float, high: float | None = None
              ) -> Callable[[Any], str | None]:
-    """An :attr:`OptionSpec.validate` for ``low <= value`` (``<= high``)."""
+    """An :attr:`OptionSpec.validate` for ``low <= value`` (``<= high``);
+    NaN lies in no range."""
     bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
 
     def check(value: Any) -> str | None:
-        if value < low or (high is not None and value > high):
-            return f"must be {bounds}"
-        return None
+        if low <= value and (high is None or value <= high):
+            return None
+        return f"must be {bounds}"
 
     return check
 

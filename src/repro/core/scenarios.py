@@ -32,7 +32,7 @@ from .initial_conditions import (
     uniform_sphere,
 )
 from .particles import ParticleSystem
-from .registry import OptionSpec, Registry, Spec, positive
+from .registry import OptionSpec, Registry, Spec, in_range, positive
 
 __all__ = ["SCENARIOS", "ScenarioSpec", "make_scenario"]
 
@@ -54,6 +54,20 @@ def make_scenario(
 # --------------------------------------------------------------------------
 # Built-in scenarios (one per initial_conditions generator)
 # --------------------------------------------------------------------------
+#
+# Each option carries the domain its generator enforces, so an
+# out-of-domain scenario fails at spec resolution (no cache identity, a
+# 400 from the job service) instead of at set-up.
+
+
+def _eccentricity(value: float) -> str | None:
+    """A bound orbit: ``0 <= e < 1``."""
+    return None if 0.0 <= value < 1.0 else "must be in [0, 1)"
+
+
+def _fraction(value: float) -> str | None:
+    """A proper share: ``0 < f < 1``."""
+    return None if 0.0 < value < 1.0 else "must be in (0, 1)"
 
 
 def _make_plummer(n, seed, *, virial_scaled, cutoff_radius):
@@ -113,26 +127,32 @@ SCENARIOS.register(
     "uniform_sphere", _make_uniform_sphere,
     description="homogeneous sphere (cold collapse at virial_ratio 0)",
     options=(
-        OptionSpec("radius", float, 1.0, "sphere radius"),
+        OptionSpec("radius", float, 1.0, "sphere radius",
+                   validate=positive),
         OptionSpec("virial_ratio", float, 0.0,
-                   "-T/W kinetic support (0 = cold)"),
+                   "-T/W kinetic support (0 = cold)",
+                   validate=in_range(0.0, 1.0)),
     ),
 )
 SCENARIOS.register(
     "hernquist", _make_hernquist,
     description="Hernquist sphere with isotropic Jeans velocities",
     options=(
-        OptionSpec("scale_radius", float, 0.55, "Hernquist scale radius"),
+        OptionSpec("scale_radius", float, 0.55, "Hernquist scale radius",
+                   validate=positive),
     ),
 )
 SCENARIOS.register(
     "binary", _make_binary,
     description="two-body Keplerian binary at apoapsis (n/seed ignored)",
     options=(
-        OptionSpec("mass_ratio", float, 1.0, "m1/m2"),
-        OptionSpec("semi_major_axis", float, 0.01, "orbit semi-major axis"),
-        OptionSpec("eccentricity", float, 0.0, "orbit eccentricity"),
-        OptionSpec("total_mass", float, 1.0, "combined mass"),
+        OptionSpec("mass_ratio", float, 1.0, "m1/m2", validate=positive),
+        OptionSpec("semi_major_axis", float, 0.01, "orbit semi-major axis",
+                   validate=positive),
+        OptionSpec("eccentricity", float, 0.0, "orbit eccentricity",
+                   validate=_eccentricity),
+        OptionSpec("total_mass", float, 1.0, "combined mass",
+                   validate=positive),
     ),
 )
 SCENARIOS.register(
@@ -140,11 +160,14 @@ SCENARIOS.register(
     description="two Plummer clusters on a collision course "
                 "(n split between them)",
     options=(
-        OptionSpec("mass_ratio", float, 1.0, "M1/M2"),
-        OptionSpec("separation", float, 6.0, "initial centre separation"),
-        OptionSpec("impact_parameter", float, 0.5, "perpendicular offset"),
+        OptionSpec("mass_ratio", float, 1.0, "M1/M2", validate=positive),
+        OptionSpec("separation", float, 6.0, "initial centre separation",
+                   validate=positive),
+        OptionSpec("impact_parameter", float, 0.5, "perpendicular offset",
+                   validate=in_range(0.0)),
         OptionSpec("relative_speed", float, None,
-                   "approach speed (default: parabolic)"),
+                   "approach speed (default: parabolic)",
+                   validate=in_range(0.0)),
     ),
 )
 SCENARIOS.register(
@@ -153,8 +176,10 @@ SCENARIOS.register(
                 "(n includes the pair)",
     options=(
         OptionSpec("binary_mass_fraction", float, 0.02,
-                   "binary share of the total mass"),
-        OptionSpec("semi_major_axis", float, 0.005, "binary semi-major axis"),
-        OptionSpec("eccentricity", float, 0.0, "binary eccentricity"),
+                   "binary share of the total mass", validate=_fraction),
+        OptionSpec("semi_major_axis", float, 0.005, "binary semi-major axis",
+                   validate=positive),
+        OptionSpec("eccentricity", float, 0.0, "binary eccentricity",
+                   validate=_eccentricity),
     ),
 )

@@ -1,14 +1,7 @@
-"""Snapshot I/O for particle systems (npz and csv).
-
-The paper's measurement pipeline stores "all sampled values ... in csv
-files along with their corresponding timestamps"; simulation state uses the
-same two formats: compact binary npz for restarts, csv for interchange and
-inspection.
-"""
+"""Snapshot I/O for particle systems: compact binary npz, restart-exact."""
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -16,15 +9,7 @@ import numpy as np
 from ..errors import NBodyError
 from .particles import ParticleSystem
 
-__all__ = ["save_npz", "load_npz", "save_csv", "load_csv"]
-
-_CSV_HEADER = [
-    "id", "mass",
-    "x", "y", "z",
-    "vx", "vy", "vz",
-    "ax", "ay", "az",
-    "jx", "jy", "jz",
-]
+__all__ = ["save_npz", "load_npz"]
 
 
 def save_npz(path: str | Path, system: ParticleSystem) -> None:
@@ -54,48 +39,3 @@ def load_npz(path: str | Path) -> ParticleSystem:
             jerk=data["jerk"],
             time=float(data["time"]),
         )
-
-
-def save_csv(path: str | Path, system: ParticleSystem) -> None:
-    """Write a snapshot as csv with a commented time header."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# time = {system.time!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for i in range(system.n):
-            writer.writerow(
-                [i, repr(float(system.mass[i]))]
-                + [repr(float(v)) for v in system.pos[i]]
-                + [repr(float(v)) for v in system.vel[i]]
-                + [repr(float(v)) for v in system.acc[i]]
-                + [repr(float(v)) for v in system.jerk[i]]
-            )
-
-
-def load_csv(path: str | Path) -> ParticleSystem:
-    """Load a snapshot written by :func:`save_csv`."""
-    path = Path(path)
-    if not path.exists():
-        raise NBodyError(f"snapshot not found: {path}")
-    with path.open() as fh:
-        first = fh.readline()
-        if not first.startswith("# time = "):
-            raise NBodyError(f"{path}: missing time header")
-        time = float(first[len("# time = "):])
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _CSV_HEADER:
-            raise NBodyError(f"{path}: unexpected csv header {header}")
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    if not rows:
-        raise NBodyError(f"{path}: empty snapshot")
-    data = np.asarray(rows)
-    return ParticleSystem(
-        mass=data[:, 0],
-        pos=data[:, 1:4],
-        vel=data[:, 4:7],
-        acc=data[:, 7:10],
-        jerk=data[:, 10:13],
-        time=time,
-    )

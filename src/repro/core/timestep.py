@@ -8,9 +8,10 @@ where a2, a3 are the second and third time derivatives of the acceleration
 reconstructed by the Hermite corrector.  Before the first step, when only
 a and j are known, the starter criterion dt = eta_s |a| / |j| applies.
 
-Both shared (global min over particles) and block (power-of-two quantised)
-schemes are provided; the paper's representative simulation advances in
-"time cycles" of a shared step, which :class:`SharedTimestep` models.
+The paper's representative simulation advances in "time cycles" of a
+shared step (the global minimum over particles), which
+:class:`SharedTimestep` models; the block scheme's power-of-two
+quantisation lives in its integrator.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from ..errors import IntegratorError
 __all__ = [
     "aarseth_timestep",
     "initial_timestep",
-    "quantize_block_timestep",
     "SharedTimestep",
 ]
 
@@ -65,33 +65,6 @@ def aarseth_timestep(
     num = a * s + j * j
     den = j * c + s * s
     return np.sqrt(eta * num / np.maximum(den, _TINY))
-
-
-def quantize_block_timestep(
-    dt: np.ndarray | float,
-    *,
-    dt_max: float = 0.125,
-    min_exponent: int = 40,
-) -> np.ndarray | float:
-    """Quantise timesteps down to powers of two of ``dt_max``.
-
-    Block-timestep codes keep particles on a power-of-two hierarchy so
-    groups advance synchronously.  Values below dt_max / 2^min_exponent
-    indicate a pathological configuration and raise.
-    """
-    dt_arr = np.asarray(dt, dtype=np.float64)
-    if np.any(dt_arr <= 0) or not np.all(np.isfinite(dt_arr)):
-        raise IntegratorError("timesteps must be positive and finite")
-    # exponent k such that dt_max / 2^k <= dt
-    k = np.ceil(np.log2(dt_max / dt_arr))
-    k = np.maximum(k, 0)
-    if np.any(k > min_exponent):
-        raise IntegratorError(
-            f"timestep collapsed below dt_max/2^{min_exponent}; "
-            "system too tightly bound for the block hierarchy"
-        )
-    out = dt_max / np.exp2(k)
-    return float(out) if np.isscalar(dt) or dt_arr.ndim == 0 else out
 
 
 @dataclass

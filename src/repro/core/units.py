@@ -1,111 +1,17 @@
-"""N-body (Hénon) units and astrophysical conversions.
+"""N-body (Hénon) units.
 
 Direct N-body codes work in Hénon units: G = 1, total mass M = 1, total
 energy E = -1/4, which puts the virial radius at 1 and the crossing time
-at 2*sqrt(2).  The paper's application domain is dense stellar systems
-(star clusters hosting compact-object binaries), so the converter maps
-Hénon units to astrophysical ones given a physical mass and length scale.
+at 2*sqrt(2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import ConfigurationError
-
-__all__ = ["G_NBODY", "HENON_CROSSING_TIME", "UnitSystem"]
+__all__ = ["G_NBODY", "HENON_CROSSING_TIME"]
 
 #: Gravitational constant in N-body units.
 G_NBODY = 1.0
 #: Crossing time of a virialised system in Hénon units: 2 sqrt(2).
 HENON_CROSSING_TIME = 2.0 * np.sqrt(2.0)
-
-# Physical constants (CODATA / IAU nominal values).
-_G_SI = 6.67430e-11          # m^3 kg^-1 s^-2
-_MSUN_KG = 1.98892e30        # kg
-_PC_M = 3.0856775814913673e16  # m
-_MYR_S = 3.15576e13          # s (Julian)
-_KMS = 1.0e3                 # m/s
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Conversion between Hénon units and (Msun, pc, Myr, km/s).
-
-    Parameters
-    ----------
-    mass_msun:
-        Total cluster mass in solar masses (the Hénon mass unit).
-    length_pc:
-        The Hénon length unit (the virial radius) in parsecs.
-    """
-
-    mass_msun: float = 1.0e4
-    length_pc: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mass_msun <= 0 or self.length_pc <= 0:
-            raise ConfigurationError(
-                f"unit scales must be positive, got mass={self.mass_msun}, "
-                f"length={self.length_pc}"
-            )
-
-    @property
-    def time_myr(self) -> float:
-        """The Hénon time unit in Myr: sqrt(L^3 / (G M))."""
-        t_s = np.sqrt(
-            (self.length_pc * _PC_M) ** 3
-            / (_G_SI * self.mass_msun * _MSUN_KG)
-        )
-        return t_s / _MYR_S
-
-    @property
-    def velocity_kms(self) -> float:
-        """The Hénon velocity unit in km/s: sqrt(G M / L)."""
-        v_ms = np.sqrt(
-            _G_SI * self.mass_msun * _MSUN_KG / (self.length_pc * _PC_M)
-        )
-        return v_ms / _KMS
-
-    # -- conversions to physical --
-
-    def to_msun(self, mass_nbody: float | np.ndarray):
-        """N-body mass to solar masses."""
-        return mass_nbody * self.mass_msun
-
-    def to_pc(self, length_nbody: float | np.ndarray):
-        """N-body length to parsecs."""
-        return length_nbody * self.length_pc
-
-    def to_myr(self, time_nbody: float | np.ndarray):
-        """N-body time to megayears."""
-        return time_nbody * self.time_myr
-
-    def to_kms(self, velocity_nbody: float | np.ndarray):
-        """N-body velocity to km/s."""
-        return velocity_nbody * self.velocity_kms
-
-    # -- conversions from physical --
-
-    def from_msun(self, mass_msun: float | np.ndarray):
-        """Solar masses to N-body mass."""
-        return mass_msun / self.mass_msun
-
-    def from_pc(self, length_pc: float | np.ndarray):
-        """Parsecs to N-body length."""
-        return length_pc / self.length_pc
-
-    def from_myr(self, time_myr: float | np.ndarray):
-        """Megayears to N-body time."""
-        return time_myr / self.time_myr
-
-    def from_kms(self, velocity_kms: float | np.ndarray):
-        """km/s to N-body velocity."""
-        return velocity_kms / self.velocity_kms
-
-    @property
-    def crossing_time_myr(self) -> float:
-        """Virial crossing time in Myr."""
-        return HENON_CROSSING_TIME * self.time_myr

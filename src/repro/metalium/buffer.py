@@ -74,7 +74,7 @@ class DramBuffer:
         self.tile_bytes = storage_bytes_per_element(fmt) * TILE_ELEMENTS
         self.size_bytes = self.tile_bytes * n_tiles
         self._alloc: DramAllocation | None = device.dram.allocate(self.size_bytes)
-        ctx = hooks.active()
+        ctx = hooks.ambient()
         if ctx is not None:
             ctx.on_buffer_created(self)
 

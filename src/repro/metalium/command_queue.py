@@ -272,7 +272,7 @@ class CommandQueue:
         """Pick the sanitizer context for one enqueue (None = unsanitized)."""
         if sanitize is False:
             return None
-        ctx = hooks.active()
+        ctx = hooks.ambient()
         if ctx is None and sanitize:
             from ..analysis.sanitizer import SanitizerContext
 

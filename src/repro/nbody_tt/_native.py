@@ -19,9 +19,7 @@ compiles (once per machine, cached on disk by source hash — see
 * ``nbody_ds_pairs_f64`` — the double-single ablation's pairwise product
   matrices, every primitive the same error-free transformation (Knuth
   two-sum, FMA two-product) in the same order as
-  :mod:`repro.wormhole.double_single`;
-* ``nbody_gram_chain_f32`` — the tensor-FPU ablation's elementwise force
-  chain downstream of the Gram ``r^2`` matrix.
+  :mod:`repro.wormhole.double_single`.
 
 Bit-identity is guaranteed rather than hoped for:
 
@@ -57,7 +55,6 @@ __all__ = [
     "native_force_kernel",
     "native_tile_kernel",
     "native_ds_kernel",
-    "native_gram_kernel",
     "native_pairwise_sum",
     "native_available",
 ]
@@ -374,59 +371,6 @@ void nbody_ds_pairs_f64(
         }
     }
 }
-
-/* The tensor-FPU ablation's elementwise chain downstream of the Gram
- * r^2 matrix (repro.backends.variants.MatmulVariantBackend): one fused
- * pass emitting the six (rows x cols) product matrices; the caller
- * reduces with NumPy's sum(axis=1).  mask_diag zeroes the self-pair
- * reciprocal of a diagonal block. */
-void nbody_gram_chain_f32(
-    const float *restrict r2, const float *restrict mj,
-    const float *restrict xi, const float *restrict yi,
-    const float *restrict zi, const float *restrict vxi,
-    const float *restrict vyi, const float *restrict vzi,
-    const float *restrict xj, const float *restrict yj,
-    const float *restrict zj, const float *restrict vxj,
-    const float *restrict vyj, const float *restrict vzj,
-    int64_t rows, int64_t cols, int32_t mask_diag,
-    float *restrict pax, float *restrict pay, float *restrict paz,
-    float *restrict pjx, float *restrict pjy, float *restrict pjz)
-{
-    for (int64_t r = 0; r < rows; ++r) {
-        const float xr = xi[r], yr = yi[r], zr = zi[r];
-        const float vxr = vxi[r], vyr = vyi[r], vzr = vzi[r];
-        const float *r2r = r2 + r * cols;
-        float *paxr = pax + r * cols, *payr = pay + r * cols;
-        float *pazr = paz + r * cols, *pjxr = pjx + r * cols;
-        float *pjyr = pjy + r * cols, *pjzr = pjz + r * cols;
-        for (int64_t c = 0; c < cols; ++c) {
-            const float r2v = r2r[c];
-            float rinv = 0.0f;
-            if (r2v > 0.0f) {
-                rinv = 1.0f / sqrtf(r2v);
-            }
-            if (mask_diag && c == r) {
-                rinv = 0.0f;
-            }
-            const float rinv2 = rinv * rinv;
-            const float mr3 = (mj[c] * rinv2) * rinv;
-            const float dx = xj[c] - xr;
-            const float dy = yj[c] - yr;
-            const float dz = zj[c] - zr;
-            const float dvx = vxj[c] - vxr;
-            const float dvy = vyj[c] - vyr;
-            const float dvz = vzj[c] - vzr;
-            const float rv = (dx * dvx + dy * dvy) + dz * dvz;
-            const float alpha = (3.0f * rv) * rinv2;
-            paxr[c] = mr3 * dx;
-            payr[c] = mr3 * dy;
-            pazr[c] = mr3 * dz;
-            pjxr[c] = mr3 * (dvx - alpha * dx);
-            pjyr[c] = mr3 * (dvy - alpha * dy);
-            pjzr[c] = mr3 * (dvz - alpha * dz);
-        }
-    }
-}
 """
 
 _lock = threading.Lock()
@@ -505,40 +449,12 @@ class _DSKernel:
         return outs
 
 
-class _GramChainKernel:
-    """ctypes wrapper around the Gram-variant elementwise chain kernel."""
-
-    def __init__(self, fn) -> None:
-        fn.restype = None
-        fn.argtypes = (
-            [_F32P] * 14
-            + [ctypes.c_int64, ctypes.c_int64, ctypes.c_int32]
-            + [_F32P] * 6
-        )
-        self._fn = fn
-
-    def __call__(self, r2, mj, i_arrs, j_arrs, mask_diag):
-        """Six (rows, cols) float32 product matrices for one block pair."""
-        rows, cols = r2.shape
-        outs = [np.empty((rows, cols), dtype=np.float32) for _ in range(6)]
-        self._fn(
-            _float_ptr(r2), _float_ptr(mj),
-            *[_float_ptr(a) for a in i_arrs],
-            *[_float_ptr(a) for a in j_arrs],
-            ctypes.c_int64(rows), ctypes.c_int64(cols),
-            ctypes.c_int32(1 if mask_diag else 0),
-            *[_float_ptr(a) for a in outs],
-        )
-        return outs
-
-
 class _KernelSet:
     """All compiled entry points of the shared library."""
 
     def __init__(self, lib) -> None:
         self.chunk = _NativeKernel(lib.nbody_chunk_f32)
         self.ds = _DSKernel(lib.nbody_ds_pairs_f64)
-        self.gram = _GramChainKernel(lib.nbody_gram_chain_f32)
         pw = lib.pairwise_sum_f32
         pw.restype = ctypes.c_float
         pw.argtypes = [_F32P, ctypes.c_int64]
@@ -610,14 +526,6 @@ def native_ds_kernel():
         return None
     kernels = _load()
     return kernels.ds if kernels is not None else None
-
-
-def native_gram_kernel():
-    """The Gram-variant elementwise chain kernel, or None."""
-    if not native_enabled():
-        return None
-    kernels = _load()
-    return kernels.gram if kernels is not None else None
 
 
 def native_pairwise_sum(values: np.ndarray) -> float | None:

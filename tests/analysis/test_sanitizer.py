@@ -24,8 +24,9 @@ from repro.wormhole.tile import Tile
 @pytest.fixture(autouse=True)
 def _no_ambient_context():
     """Suspend any REPRO_SANITIZE ambient context: these tests manage
-    their own contexts and assert on the uninstalled state."""
-    prev = hooks.active()
+    their own contexts and assert on the uninstalled state.  ``ambient()``
+    installs it first if no buffer or program has yet."""
+    prev = hooks.ambient()
     if prev is not None:
         hooks.uninstall(prev)
     yield
@@ -245,3 +246,18 @@ class TestModes:
             "l1-double-free",
             "l1-leak",
         }
+
+
+class TestThreadedCards:
+    def test_card_threads_share_one_context_without_false_hazards(self):
+        """Each card thread runs its own program: which kernel and core
+        range is running is per host thread, not per context."""
+        from repro.backends import ShardedTTBackend
+        from repro.core import plummer
+
+        s = plummer(4096, seed=4)
+        with SanitizerContext() as ctx:
+            ShardedTTBackend(
+                2, n_cores=2, engine="per-block", workers="thread"
+            ).compute(s.pos, s.vel, s.mass)
+        assert ctx.report.ok, ctx.report.format()

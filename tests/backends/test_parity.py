@@ -11,14 +11,11 @@ from repro.backends import BACKENDS, make_backend
 from repro.core import plummer, validate_forces
 
 #: Per-backend problem size: small enough to stay fast, large enough to
-#: exercise tiling/padding.  tt-ds runs O(N^2) pair matrices in NumPy and
-#: tt-matmul pads to 1024-blocks, so they get tailored sizes.
+#: exercise tiling/padding.
 PARITY_N = {
     "reference": 1024,
     "cpu": 1024,
     "tt": 1024,
-    "tt-ds": 512,
-    "tt-matmul": 1024,
 }
 
 #: The particle-mesh backends approximate the far field, so the paper's

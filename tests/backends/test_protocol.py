@@ -33,7 +33,7 @@ class TestProtocolMembership:
             assert isinstance(backend, TracedForceBackend)
 
     def test_reference_and_cpu_are_not_traced(self):
-        for name in ("reference", "cpu", "tt-ds", "tt-matmul"):
+        for name in ("reference", "cpu"):
             backend = make_backend(name)
             assert not accepts_trace(backend), name
             assert not isinstance(backend, TracedForceBackend), name

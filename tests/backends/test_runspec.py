@@ -17,9 +17,11 @@ def _backend(name, **options):
     return _named("backend", name, **options)
 
 
+NAN = float("nan")
+
 #: RunSpec fields (JSON form) outside a domain the constructors enforce,
 #: and the option the rejection names.  A bad ``workers`` spelling is
-#: rejected whether or not the spec shards.
+#: rejected whether or not the spec shards; NaN lies in no domain.
 OUT_OF_DOMAIN = [
     pytest.param(_backend("tt", cards=cards, workers=workers), "workers",
                  id=f"tt-workers-{workers}-{cards}")
@@ -53,6 +55,25 @@ OUT_OF_DOMAIN = [
          _named("scenario", "plummer", cutoff_radius=-1.0),
          "cutoff_radius"),
         ("runspec-softening", {"softening": -1.0}, "softening"),
+        ("runspec-softening-nan", {"softening": NAN}, "softening"),
+        ("runspec-dt-0", {"dt": 0.0}, "dt"),
+        ("runspec-dt-negative", {"dt": -1.0}, "dt"),
+        ("runspec-dt-nan", {"dt": NAN}, "dt"),
+        ("tt-softening-nan", _backend("tt", softening=NAN), "softening"),
+        ("tt-pm-cutoff-nan", _backend("tt-pm", cutoff=NAN), "cutoff"),
+        ("cpu-threads-huge", _backend("cpu", threads=10**6), "threads"),
+        ("binary-eccentricity",
+         _named("scenario", "binary", eccentricity=1.0), "eccentricity"),
+        ("uniform_sphere-radius",
+         _named("scenario", "uniform_sphere", radius=0.0), "radius"),
+        ("hernquist-scale_radius",
+         _named("scenario", "hernquist", scale_radius=0.0), "scale_radius"),
+        ("cluster_with_binary-binary_mass_fraction",
+         _named("scenario", "cluster_with_binary", binary_mass_fraction=1.0),
+         "binary_mass_fraction"),
+        ("cluster_collision-separation",
+         _named("scenario", "cluster_collision", separation=0.0),
+         "separation"),
     ]
 ]
 

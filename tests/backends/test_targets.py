@@ -48,8 +48,6 @@ BACKENDS = [
     ("reference", {}),
     ("cpu", {}),
     ("tt", {}),
-    ("tt-ds", {}),
-    ("tt-matmul", {}),
     ("cpu-pm", {"mesh": 32}),
     ("tt-pm", {"mesh": 32}),
 ]
@@ -88,7 +86,7 @@ def test_sharded_subset_matches_single_card(cards):
 def test_subset_costs_no_more_than_full_compute():
     """Scope pricing: an active block must not be charged a full sweep."""
     s = _system()
-    for name, options in [("cpu", {}), ("tt", {}), ("tt-ds", {})]:
+    for name, options in [("cpu", {}), ("tt", {})]:
         backend = make_backend(name, **options)
         try:
             full = backend.compute(s.pos, s.vel, s.mass)

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.analysis import (
-    cluster_report,
-    core_radius,
-    density_center,
-    half_mass_relaxation_time,
-    lagrangian_radii,
-    velocity_dispersion,
-)
+from repro.core.analysis import density_center, lagrangian_radii
 from repro.core.initial_conditions import plummer, uniform_sphere
 from repro.core.particles import ParticleSystem
 from repro.errors import NBodyError
@@ -72,62 +65,3 @@ class TestDensityCenter:
             np.zeros((3, 3)),
         )
         assert np.allclose(density_center(s), s.center_of_mass())
-
-
-class TestCoreRadius:
-    def test_plummer_core_radius_band(self, cluster):
-        """Plummer core radius ~0.64 a; allow a generous estimator band."""
-        rc = core_radius(cluster)
-        assert 0.1 < rc < 0.8
-
-    def test_concentrated_smaller_than_uniform(self):
-        p = plummer(4096, seed=3)
-        u = uniform_sphere(4096, seed=3, radius=1.0)
-        assert core_radius(p) < core_radius(u)
-
-    def test_too_few_particles(self):
-        s = ParticleSystem(np.ones(4), np.eye(4, 3), np.zeros((4, 3)))
-        with pytest.raises(NBodyError):
-            core_radius(s)
-
-
-class TestVelocityDispersion:
-    def test_virial_plummer_value(self, cluster):
-        """T = 1/4 => sigma_1d = sqrt(2T/3M) = sqrt(1/6)."""
-        assert velocity_dispersion(cluster) == pytest.approx(
-            np.sqrt(1.0 / 6.0), rel=0.02
-        )
-
-    def test_bulk_motion_removed(self, cluster):
-        boosted = cluster.copy()
-        boosted.vel += np.array([10.0, -5.0, 2.0])
-        assert velocity_dispersion(boosted) == pytest.approx(
-            velocity_dispersion(cluster), rel=1e-10
-        )
-
-
-class TestRelaxationTime:
-    def test_scales_superlinearly_with_n(self):
-        t_small = half_mass_relaxation_time(plummer(512, seed=4))
-        t_large = half_mass_relaxation_time(plummer(4096, seed=4))
-        assert t_large > 4.0 * t_small  # ~ N / ln N
-
-    def test_positive_and_many_crossings(self, cluster):
-        report = cluster_report(cluster)
-        assert report.t_relax > 0
-        assert report.crossing_times_per_relaxation > 10.0
-
-    def test_needs_particles(self):
-        s = ParticleSystem(np.ones(2), np.eye(2, 3), np.zeros((2, 3)))
-        with pytest.raises(NBodyError):
-            half_mass_relaxation_time(s)
-
-
-class TestClusterReport:
-    def test_bundle(self, cluster):
-        report = cluster_report(cluster)
-        assert report.half_mass_radius == pytest.approx(
-            report.lagrangian[1]
-        )
-        assert report.time == cluster.time
-        assert report.sigma_1d > 0

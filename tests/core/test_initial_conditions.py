@@ -1,5 +1,6 @@
 """Tests for initial-condition generators."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -80,6 +81,38 @@ class TestPlummer:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("cutoff", [1e-2, 1e-6])
+    def test_small_cutoff_returns(self, cutoff):
+        """A draw used to land inside a cutoff c with probability ~c^3, so
+        a small cutoff never finished.  Every raw radius is below c, so the
+        centre-of-mass shift is too and each particle lies within 2c."""
+        script = (
+            "import time\n"
+            "import numpy as np\n"
+            "from repro.core.initial_conditions import plummer\n"
+            "start = time.perf_counter()\n"
+            "s = plummer(256, seed=1, virial_scaled=False, "
+            f"cutoff_radius={cutoff!r})\n"
+            "elapsed = time.perf_counter() - start\n"
+            "assert elapsed < 10.0, elapsed\n"
+            "r = np.linalg.norm(s.pos - s.center_of_mass(), axis=1)\n"
+            f"assert r.max() < 2 * {cutoff!r}, r.max()\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(_SRC), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_default_cutoff_keeps_its_stream(self):
+        s = plummer(8192, seed=1)
+        digest = hashlib.sha256(s.pos.tobytes() + s.vel.tobytes())
+        assert digest.hexdigest().startswith("d697e62f23d9cd4c")
 
 
 class TestUniformSphere:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.initial_conditions import plummer
-from repro.core.snapshots import load_csv, load_npz, save_csv, save_npz
+from repro.core.snapshots import load_npz, save_npz
 from repro.errors import NBodyError
 
 
@@ -32,34 +32,3 @@ class TestNpz:
     def test_missing_file(self, tmp_path):
         with pytest.raises(NBodyError, match="not found"):
             load_npz(tmp_path / "nope.npz")
-
-
-class TestCsv:
-    def test_roundtrip_exact(self, system, tmp_path):
-        """repr() serialisation keeps float64 exact through csv."""
-        path = tmp_path / "snap.csv"
-        save_csv(path, system)
-        back = load_csv(path)
-        assert np.array_equal(back.pos, system.pos)
-        assert np.array_equal(back.vel, system.vel)
-        assert np.array_equal(back.jerk, system.jerk)
-        assert back.time == system.time
-
-    def test_header_check(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("not a header\nwhatever\n")
-        with pytest.raises(NBodyError, match="time header"):
-            load_csv(path)
-
-    def test_empty_snapshot_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text(
-            "# time = 0.0\n"
-            "id,mass,x,y,z,vx,vy,vz,ax,ay,az,jx,jy,jz\n"
-        )
-        with pytest.raises(NBodyError, match="empty"):
-            load_csv(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(NBodyError, match="not found"):
-            load_csv(tmp_path / "nope.csv")

@@ -1,14 +1,9 @@
-"""Tests for the Aarseth timestep criteria and block quantisation."""
+"""Tests for the Aarseth timestep criteria."""
 
 import numpy as np
 import pytest
 
-from repro.core.timestep import (
-    SharedTimestep,
-    aarseth_timestep,
-    initial_timestep,
-    quantize_block_timestep,
-)
+from repro.core.timestep import SharedTimestep, aarseth_timestep, initial_timestep
 from repro.errors import IntegratorError
 
 
@@ -55,36 +50,6 @@ class TestAarseth:
         z = np.ones((1, 3))
         with pytest.raises(IntegratorError):
             aarseth_timestep(z, z, z, z, eta=-1.0)
-
-
-class TestBlockQuantize:
-    def test_powers_of_two(self):
-        dt = quantize_block_timestep(np.array([0.1, 0.07, 0.011]), dt_max=0.125)
-        assert np.allclose(dt, [0.0625, 0.0625, 0.0078125])
-
-    def test_never_rounds_up(self):
-        rng = np.random.default_rng(2)
-        raw = rng.uniform(1e-6, 0.125, 100)
-        q = quantize_block_timestep(raw, dt_max=0.125)
-        assert np.all(q <= raw + 1e-15)
-        assert np.all(q >= raw / 2.0)
-
-    def test_dt_above_max_clamps_to_max(self):
-        assert quantize_block_timestep(1.0, dt_max=0.125) == 0.125
-
-    def test_scalar_in_scalar_out(self):
-        out = quantize_block_timestep(0.03, dt_max=0.125)
-        assert isinstance(out, float)
-
-    def test_collapse_detected(self):
-        with pytest.raises(IntegratorError, match="collapsed"):
-            quantize_block_timestep(1e-30, dt_max=0.125, min_exponent=40)
-
-    def test_invalid_values(self):
-        with pytest.raises(IntegratorError):
-            quantize_block_timestep(np.array([0.1, -0.1]))
-        with pytest.raises(IntegratorError):
-            quantize_block_timestep(np.array([np.nan]))
 
 
 class TestShared:

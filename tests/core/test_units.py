@@ -1,10 +1,9 @@
-"""Tests for N-body units and astrophysical conversions."""
+"""Tests for the N-body unit constants."""
 
 import numpy as np
 import pytest
 
-from repro.core.units import G_NBODY, HENON_CROSSING_TIME, UnitSystem
-from repro.errors import ConfigurationError
+from repro.core.units import G_NBODY, HENON_CROSSING_TIME
 
 
 class TestConstants:
@@ -13,54 +12,3 @@ class TestConstants:
 
     def test_crossing_time(self):
         assert HENON_CROSSING_TIME == pytest.approx(2.0 * np.sqrt(2.0))
-
-
-class TestUnitSystem:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            UnitSystem(mass_msun=-1.0)
-        with pytest.raises(ConfigurationError):
-            UnitSystem(length_pc=0.0)
-
-    def test_typical_cluster_scales(self):
-        """A 10^4 Msun, 1 pc cluster: t ~ 0.15 Myr, v ~ 6.6 km/s."""
-        units = UnitSystem(mass_msun=1.0e4, length_pc=1.0)
-        assert units.time_myr == pytest.approx(0.1491, rel=2e-3)
-        assert units.velocity_kms == pytest.approx(6.559, rel=2e-3)
-
-    def test_roundtrip_conversions(self):
-        units = UnitSystem(mass_msun=5.0e5, length_pc=3.0)
-        for to, frm, value in [
-            (units.to_msun, units.from_msun, 0.37),
-            (units.to_pc, units.from_pc, 2.2),
-            (units.to_myr, units.from_myr, 1.9),
-            (units.to_kms, units.from_kms, 0.45),
-        ]:
-            assert frm(to(value)) == pytest.approx(value, rel=1e-14)
-
-    def test_time_scales_as_sqrt_l3_over_m(self):
-        base = UnitSystem(1e4, 1.0)
-        bigger = UnitSystem(1e4, 4.0)
-        assert bigger.time_myr == pytest.approx(8.0 * base.time_myr, rel=1e-12)
-        heavier = UnitSystem(4e4, 1.0)
-        assert heavier.time_myr == pytest.approx(base.time_myr / 2.0, rel=1e-12)
-
-    def test_velocity_scales_as_sqrt_m_over_l(self):
-        base = UnitSystem(1e4, 1.0)
-        assert UnitSystem(4e4, 1.0).velocity_kms == pytest.approx(
-            2.0 * base.velocity_kms, rel=1e-12
-        )
-        assert UnitSystem(1e4, 4.0).velocity_kms == pytest.approx(
-            base.velocity_kms / 2.0, rel=1e-12
-        )
-
-    def test_crossing_time_myr(self):
-        units = UnitSystem(1e4, 1.0)
-        assert units.crossing_time_myr == pytest.approx(
-            HENON_CROSSING_TIME * units.time_myr
-        )
-
-    def test_array_conversion(self):
-        units = UnitSystem(1e4, 1.0)
-        arr = np.array([0.1, 0.2])
-        assert np.allclose(units.to_pc(arr), arr * 1.0)

@@ -4,8 +4,7 @@ NumPy code it replaces, under both ``REPRO_NATIVE`` settings.
 The bit-identity contract (same IEEE fp32 ops, same order, reductions
 matching NumPy's pairwise tree) is what lets the native kernels be a pure
 speed change: these tests pin it for the fused engine tile kernel, the
-double-single ablation, the Gram-chain ablation, and the pairwise-sum
-reduction itself.
+double-single ablation and the pairwise-sum reduction itself.
 
 Every test starts with native kernels enabled, whatever the ambient
 ``REPRO_NATIVE``, and opts out explicitly where it needs the NumPy path.
@@ -21,10 +20,10 @@ from repro.nbody_tt._native import (
     _pairwise_matches_numpy,
     native_available,
     native_ds_kernel,
-    native_gram_kernel,
     native_pairwise_sum,
     native_tile_kernel,
 )
+from repro.nbody_tt.ds_variant import ds_accel_jerk
 
 pytestmark = pytest.mark.skipif(
     _native._load() is None, reason="no C toolchain for the native kernels"
@@ -66,27 +65,14 @@ class TestPairwiseSum:
 class TestDSParity:
     def test_native_matches_numpy_fallback(self, monkeypatch, softening):
         system = plummer(512, seed=21)
+        state = (system.pos, system.vel, system.mass)
         assert native_ds_kernel() is not None
-        fast = _compute("tt-ds", system, softening=softening)
+        fast = ds_accel_jerk(*state, softening=softening)
         monkeypatch.setenv("REPRO_NATIVE", "0")
         assert native_ds_kernel() is None
-        slow = _compute("tt-ds", system, softening=softening)
-        assert np.array_equal(fast.acc, slow.acc, equal_nan=True)
-        assert np.array_equal(fast.jerk, slow.jerk, equal_nan=True)
-
-
-@pytest.mark.parametrize("softening", [0.0, 0.01])
-class TestMatmulParity:
-    def test_native_matches_numpy_fallback(self, monkeypatch, softening):
-        # 1500 is not a multiple of the 1024 Gram block: exercises padding
-        system = plummer(1500, seed=22)
-        assert native_gram_kernel() is not None
-        fast = _compute("tt-matmul", system, softening=softening)
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        assert native_gram_kernel() is None
-        slow = _compute("tt-matmul", system, softening=softening)
-        assert np.array_equal(fast.acc, slow.acc, equal_nan=True)
-        assert np.array_equal(fast.jerk, slow.jerk, equal_nan=True)
+        slow = ds_accel_jerk(*state, softening=softening)
+        for got, want in zip(fast, slow):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestEngineFusedParity:
@@ -111,6 +97,5 @@ def test_loaders_honour_repro_native_zero(monkeypatch):
     monkeypatch.setenv("REPRO_NATIVE", "0")
     assert native_tile_kernel() is None
     assert native_ds_kernel() is None
-    assert native_gram_kernel() is None
     assert native_pairwise_sum(np.ones(4, dtype=np.float32)) is None
     assert not native_available()

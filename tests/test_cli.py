@@ -56,9 +56,9 @@ class TestSimulate:
 
     def test_registry_backend_name_accepted(self, capsys):
         rc = main(["simulate", "--n", "512", "--cycles", "1",
-                   "--backend", "tt-ds"])
+                   "--backend", "cpu-pm"])
         assert rc == 0
-        assert "tt-ds-cores8" in capsys.readouterr().out
+        assert "cpu-pm-mesh32" in capsys.readouterr().out
 
     def test_multi_card_profile_shows_per_card_costs(self, capsys):
         rc = main(["simulate", "--n", "2048", "--cycles", "1",

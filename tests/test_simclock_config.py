@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.config import (
-    DEFAULT_BENCH_N_PARTICLES,
-    PAPER_N_CYCLES,
-    PAPER_N_PARTICLES,
-    paper_scale_enabled,
-    select_workload_scale,
-)
+from repro.config import PAPER_N_CYCLES, PAPER_N_PARTICLES, paper_scale_enabled
 from repro.errors import ConfigurationError
 from repro.simclock import Stopwatch, VirtualClock
 
@@ -100,17 +94,10 @@ class TestWorkloadScale:
     def test_default_is_bench_scale(self, monkeypatch):
         monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
         assert not paper_scale_enabled()
-        scale = select_workload_scale()
-        assert scale.n_particles == DEFAULT_BENCH_N_PARTICLES
-        assert not scale.is_paper_scale
-        assert "bench-scale" in scale.label
 
     def test_env_enables_paper_scale(self, monkeypatch):
         monkeypatch.setenv("REPRO_PAPER_SCALE", "1")
         assert paper_scale_enabled()
-        scale = select_workload_scale()
-        assert scale.n_particles == PAPER_N_PARTICLES
-        assert "paper-scale" in scale.label
 
     def test_zero_and_false_disable(self, monkeypatch):
         for value in ("0", "false", "False", ""):
