@@ -11,12 +11,10 @@ to run on, and the observability flags, with a JSON round-trip (campaign
 schedules and checkpoints can persist it) and **one** env/CLI resolution
 path:
 
-* :meth:`RunSpec.from_cli` builds a spec from the ``repro simulate``
-  argparse namespace plus the environment — CLI values win, then
-  ``REPRO_TRACE`` / ``REPRO_LINT`` / ``REPRO_SANITIZE`` fill the gaps;
-* :meth:`RunSpec.environ_updates` is the inverse: the env-var settings a
-  runner must export so the Metalium layer honours the spec's lint and
-  sanitize choices.
+:meth:`RunSpec.from_cli` builds a spec from the argparse namespace of
+``repro simulate``, ``trace`` or ``submit`` plus the environment — CLI
+values win, then ``REPRO_TRACE`` / ``REPRO_LINT`` / ``REPRO_SANITIZE``
+fill the gaps.
 
 A spec also names its *integrator* and *scenario*, both
 registry-addressable: :meth:`RunSpec.make_system` realises the scenario
@@ -44,31 +42,15 @@ from .registry import BACKENDS, make_backend
 
 __all__ = ["RunSpec"]
 
-#: CLI argument -> backend option name (identity unless listed here).
-#: ``softening`` is deliberately absent: :attr:`RunSpec.softening` is its
-#: single carrier, injected by :meth:`RunSpec.make_backend`.
-_CLI_OPTION_NAMES = {"cores": "cores", "threads": "threads",
-                     "cards": "cards", "format": "fmt",
-                     "workers": "workers", "mesh": "mesh",
-                     "cutoff": "cutoff"}
 
-#: CLI argument -> integrator option name.  Filtered against the chosen
-#: integrator's declared :class:`OptionSpec` table the same way backend
-#: flags are: ``--dt-max`` reaches block-hermite but never leapfrog.
-_CLI_INTEGRATOR_OPTION_NAMES = {"eta": "eta", "dt_max": "dt_max",
-                                "block_levels": "block_levels"}
-
-
-def _declared_options(args: Any, cli_names: Mapping[str, str],
-                      entry: Entry) -> dict[str, Any]:
-    """The CLI values ``entry`` declares an option for, by option name."""
-    declared = {o.name for o in entry.options}
-    options: dict[str, Any] = {}
-    for arg_name, option_name in cli_names.items():
-        value = getattr(args, arg_name, None)
-        if value is not None and option_name in declared:
-            options[option_name] = value
-    return options
+def _declared_options(args: Any, entry: Entry) -> dict[str, Any]:
+    """The CLI values ``entry`` declares an option for, by option name;
+    a spec field's (``softening``) stays with the field."""
+    return {
+        o.name: getattr(args, o.name) for o in entry.options
+        if getattr(args, o.name, None) is not None
+        and o.name not in RunSpec.__dataclass_fields__
+    }
 
 
 #: The registry-addressed fields, each with the spelling that
@@ -220,37 +202,22 @@ class RunSpec:
                  **overrides: Any) -> "RunSpec":
         """Resolve a spec from a ``repro simulate``-shaped namespace + env.
 
-        Backend options are filtered against the registry: only the knobs
-        the chosen backend actually declares are forwarded (``--threads``
-        never reaches the device backend, ``--cores`` never reaches the
-        CPU one), so one flat CLI surface serves every registered backend.
+        The chosen backend, integrator and scenario each take the values
+        of the options they declare, so one flat CLI surface serves every
+        registered entry (``--threads`` never reaches the device backend).
+        The spec is resolved before it returns: an unknown name or an
+        out-of-domain value raises here, before any work starts.
         """
-        name = getattr(args, "backend", "tt")
-        integrator_name = getattr(args, "integrator", None) or "hermite"
-        scenario_name = getattr(args, "scenario", None) or "plummer"
-        options = _declared_options(
-            args, _CLI_OPTION_NAMES, BACKENDS.entry(name))
-        integrator_options = _declared_options(
-            args, _CLI_INTEGRATOR_OPTION_NAMES,
-            INTEGRATORS.entry(integrator_name))
-        # fail fast at the CLI boundary: unknown scenario names and
-        # out-of-domain integrator options (e.g. a non-power-of-two
-        # --dt-max) should exit 2, not traceback mid-run
-        INTEGRATORS.resolve(integrator_name, **integrator_options)
-        SCENARIOS.entry(scenario_name)
-        spec = cls(
-            n=getattr(args, "n", cls.n),
-            cycles=getattr(args, "cycles", cls.cycles),
-            dt=getattr(args, "dt", cls.dt),
-            adaptive=getattr(args, "adaptive", False),
-            softening=getattr(args, "softening", cls.softening),
-            seed=getattr(args, "seed", cls.seed),
-            backend=Spec(name, options),
-            integrator=Spec(integrator_name, integrator_options),
-            scenario=scenario_name,
-            **overrides,
-        )
-        return spec.resolved_from_env(env) if env is not None else spec
+        entries = {}
+        for key, registry, _ in _REGISTRY_FIELDS:
+            name = getattr(args, key, None) or getattr(cls, key)
+            entries[key] = Spec(name, _declared_options(args, registry.entry(name)))
+        fields = {key: getattr(args, key, getattr(cls, key)) for key in
+                  ("n", "cycles", "dt", "adaptive", "softening", "seed")}
+        spec = cls(**fields, **entries, **overrides)
+        spec = spec.resolved_from_env(env) if env is not None else spec
+        spec.canonical_hash()  # resolves (and so validates) every option
+        return spec
 
     def resolved_from_env(self, env: Mapping[str, str]) -> "RunSpec":
         """Fill unset observability flags from the environment.
@@ -271,15 +238,6 @@ class RunSpec:
                                           name="REPRO_SANITIZE"):
             updates["sanitize"] = True
         return replace(self, **updates) if updates else self
-
-    def environ_updates(self) -> dict[str, str]:
-        """Env-var exports that make the Metalium layer honour this spec."""
-        updates: dict[str, str] = {}
-        if self.lint != "off":
-            updates["REPRO_LINT"] = self.lint
-        if self.sanitize:
-            updates["REPRO_SANITIZE"] = "1"
-        return updates
 
     # -- realisation -------------------------------------------------------
 
@@ -308,19 +266,19 @@ class RunSpec:
 
         return make_scenario(self.scenario, self.n, self.seed)
 
-    def make_simulation(self, system=None, backend=None, *, trace=None,
-                        host_cost=None):
+    def make_simulation(self, system=None, backend=None, *, trace=None):
         """The named integration scheme, realised and ready to run.
 
         Returns an object satisfying the
         :class:`~repro.core.integrators.Integrator` protocol —
         ``initialise()`` plus ``run(n_cycles)`` — built by
         :func:`~repro.core.integrators.make_integrator` from this spec's
-        integrator name and options over this spec's backend.
+        integrator name and options over this spec's backend, which
+        prices its own host work.
         """
         system = system if system is not None else self.make_system()
         backend = backend if backend is not None else self.make_backend()
         return make_integrator(
             self.integrator, system, backend, dt=self.dt,
-            adaptive=self.adaptive, host_cost=host_cost, trace=trace,
+            adaptive=self.adaptive, trace=trace,
         )

@@ -150,6 +150,8 @@ class ShardedTTBackend:
         self.softening = softening
         self.fmt = fmt
         self.engine = self.children[0].engine
+        #: the cards share one host: its work is priced once, as one card's
+        self.host_cost = self.children[0].host_cost
         #: host fan-out (serial | thread); traced runs always execute
         #: serially regardless of this setting
         self.workers = workers or "thread"

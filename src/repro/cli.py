@@ -3,14 +3,17 @@
 Subcommands mirror the workflows a user of the paper's artifact would run:
 
 * ``repro info`` — the simulated hardware and host configuration;
-* ``repro simulate`` — integrate a Plummer cluster on a chosen backend,
-  reporting energy conservation and the modelled timeline;
+* ``repro simulate`` — integrate a registered scenario on a chosen backend
+  and integrator, reporting energy conservation and the modelled
+  timeline; every registry option is a flag (``--cores``, ``--fmt``,
+  ``--dt-max``, ``--cutoff-radius`` ...);
 * ``repro validate`` — the paper's Section 3 accuracy gate (device vs
   double-precision golden reference);
 * ``repro campaign`` — the Section 4 measurement campaign, printing the
   Fig. 3/5 statistics and optionally writing the power csv files;
-* ``repro trace`` — run a traced workload and write a Chrome/Perfetto
-  ``trace.json`` plus a metrics dump and a text flamegraph summary.
+* ``repro trace`` — ``repro simulate`` with Scope tracing on: it writes a
+  Chrome/Perfetto ``trace.json`` plus a metrics dump and prints a text
+  flamegraph summary.
 
 ``repro simulate`` and ``repro campaign`` also honour the ``REPRO_TRACE``
 environment variable: set it to a path and the run writes its Scope trace
@@ -21,10 +24,66 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 __all__ = ["main", "build_parser", "lint_main"]
+
+
+def _option_type(option):
+    """A registry option flag's argparse type: the option's own type
+    coercion, so a malformed value exits 2.  Its domain is each declaring
+    entry's, checked when the spec resolves."""
+    from .errors import ConfigurationError
+
+    def parse(text: str):
+        try:
+            return replace(option, validate=None).coerce(text)
+        except ConfigurationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The run flags of ``simulate``, ``trace`` and ``submit``: the spec's
+    own fields, then one flag per option name the three registries
+    declare (``softening`` is the spec field's flag)."""
+    from .backends import BACKENDS, RunSpec
+    from .core import INTEGRATORS, SCENARIOS
+
+    parser.add_argument("--n", type=int, default=2048, help="particle count")
+    parser.add_argument("--cycles", type=int, default=10,
+                        help="Hermite cycles")
+    parser.add_argument("--dt", type=float, default=1e-3,
+                        help="fixed timestep")
+    parser.add_argument("--adaptive", action="store_true",
+                        help="use the adaptive Aarseth shared timestep")
+    parser.add_argument("--softening", type=float, default=0.0)
+    parser.add_argument("--seed", type=int, default=0)
+    declared: dict[str, list] = {}  # option name -> [(entry, OptionSpec)]
+    for key, registry, default in (("backend", BACKENDS, "device"),
+                                   ("integrator", INTEGRATORS, "hermite"),
+                                   ("scenario", SCENARIOS, "plummer")):
+        # no argparse choices=: the registries are open, and an unknown
+        # name gets the registry's own exit-2 diagnostic
+        parser.add_argument(
+            f"--{key}", default=default,
+            help=f"registered {key}, one of: {', '.join(registry.names())} "
+                 f"({registry.choices_help()})")
+        for name in registry.names():
+            for option in registry.entry(name).options:
+                if option.name not in RunSpec.__dataclass_fields__:
+                    declared.setdefault(option.name, []).append((name, option))
+    # default None: RunSpec.from_cli forwards a value only to the chosen
+    # entries that declare the option
+    for name, uses in declared.items():
+        option = uses[0][1]
+        parser.add_argument(
+            f"--{name.replace('_', '-')}", dest=name, default=None,
+            type=_option_type(option),
+            help=f"{option.help} ({', '.join(entry for entry, _ in uses)})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,72 +95,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="print simulated hardware parameters")
 
-    from .backends import BACKENDS
-    from .backends.sharded import WORKER_MODES
-    from .core import INTEGRATORS, SCENARIOS
-
-    def add_integrator_flags(parser: argparse.ArgumentParser) -> None:
-        """The registry-addressable scheme/scenario surface, shared by
-        ``simulate`` and ``submit`` so specs round-trip identically."""
-        # like --backend: no argparse choices=, the registries are open
-        parser.add_argument(
-            "--integrator", default=None,
-            help="registered integration scheme, one of: "
-                 f"{', '.join(INTEGRATORS.names())} "
-                 f"({INTEGRATORS.choices_help()})")
-        parser.add_argument(
-            "--scenario", default=None,
-            help="registered initial conditions, one of: "
-                 f"{', '.join(SCENARIOS.names())} "
-                 f"({SCENARIOS.choices_help()})")
-        parser.add_argument(
-            "--eta", type=float, default=None,
-            help="timestep accuracy parameter (hermite/block-hermite)")
-        parser.add_argument(
-            "--dt-max", type=float, default=None,
-            help="top of the block-timestep hierarchy; must be a power "
-                 "of two (block-hermite; registry default 0.0625)")
-        parser.add_argument(
-            "--block-levels", type=int, default=None,
-            help="depth of the block-timestep hierarchy (block-hermite)")
-
-    sim = sub.add_parser("simulate",
-                         help="integrate a registered scenario")
-    sim.add_argument("--n", type=int, default=2048, help="particle count")
-    sim.add_argument("--cycles", type=int, default=10, help="Hermite cycles")
-    sim.add_argument("--dt", type=float, default=1e-3, help="fixed timestep")
-    sim.add_argument("--adaptive", action="store_true",
-                     help="use the adaptive Aarseth shared timestep")
-    # no argparse choices= here: the registry is open (BACKENDS.register),
-    # and unknown names get the registry's own exit-2 diagnostic
-    sim.add_argument("--backend", default="device",
-                     help="registered force backend, one of: "
-                          f"{', '.join(BACKENDS.names())} "
-                          f"({BACKENDS.choices_help()})")
-    sim.add_argument("--cores", type=int, default=None,
-                     help="Tensix cores (tt backends; registry default 8)")
-    sim.add_argument("--cards", type=int, default=None,
-                     help="n300 cards to shard i-blocks across "
-                          "(tt backends; default 1)")
-    sim.add_argument("--workers", default=None, choices=WORKER_MODES,
-                     help="host fan-out of the per-card shards "
-                          "(tt backends with --cards > 1; default: thread)")
-    sim.add_argument("--threads", type=int, default=None,
-                     help="OpenMP threads (cpu backend; registry default 32)")
-    sim.add_argument("--mesh", type=int, default=None,
-                     help="PM grid cells per axis (pm backends; "
-                          "registry default 32)")
-    sim.add_argument("--cutoff", type=float, default=None,
-                     help="PM short-range cutoff in mesh spacings "
-                          "(pm backends; 0 = pure PM; registry default 5)")
-    sim.add_argument("--softening", type=float, default=0.0)
-    sim.add_argument("--seed", type=int, default=0)
-    add_integrator_flags(sim)
-    sim.add_argument("--snapshot", type=str, default=None,
-                     help="write the final state to this .npz path")
-    sim.add_argument("--profile", action="store_true",
-                     help="print per-core device occupancy, per card "
-                          "(tt backends)")
+    sim = sub.add_parser("simulate", help="integrate a registered scenario")
+    tr = sub.add_parser("trace", help="simulate, writing a Chrome trace and "
+                        "metrics to --out, then print a flamegraph")
+    for run in (sim, tr):
+        _add_run_flags(run)
+        run.add_argument("--snapshot", type=str, default=None,
+                         help="write the final state to this .npz path")
+        run.add_argument("--profile", action="store_true",
+                         help="print per-core device occupancy, per card "
+                              "(tt backends)")
+    tr.add_argument("--out", type=str, default="trace.json",
+                    help="Chrome trace output path")
+    tr.add_argument("--min-share", type=float, default=0.01,
+                    help="hide flamegraph rows below this share (0-1)")
+    tr.set_defaults(n=1024, cycles=3)
 
     val = sub.add_parser("validate",
                          help="device accuracy vs the golden reference")
@@ -146,26 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     figs.add_argument("--accel-jobs", type=int, default=50)
     figs.add_argument("--ref-jobs", type=int, default=49)
     figs.add_argument("--seed", type=int, default=2025)
-
-    tr = sub.add_parser(
-        "trace",
-        help="run a traced workload and write a Chrome trace",
-        description="Integrate a Plummer cluster on the device backend "
-                    "with Scope tracing on, then write the Chrome/Perfetto "
-                    "trace.json, a metrics dump (JSON + CSV), and print a "
-                    "flamegraph-style summary.",
-    )
-    tr.add_argument("--n", type=int, default=1024, help="particle count")
-    tr.add_argument("--cycles", type=int, default=3, help="Hermite cycles")
-    tr.add_argument("--cores", type=int, default=8,
-                    help="Tensix cores (device backend)")
-    tr.add_argument("--dt", type=float, default=1e-3, help="fixed timestep")
-    tr.add_argument("--softening", type=float, default=0.0)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--out", type=str, default="trace.json",
-                    help="Chrome trace output path")
-    tr.add_argument("--min-share", type=float, default=0.01,
-                    help="hide flamegraph rows below this share (0-1)")
 
     smi = sub.add_parser("smi", help="tt-smi-style card status table")
     smi.add_argument("--cards", type=int, default=4)
@@ -245,23 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sbm.add_argument("--url", default="http://127.0.0.1:8321",
                      help="service base URL")
     sbm.add_argument("--tenant", default="default")
-    sbm.add_argument("--n", type=int, default=2048, help="particle count")
-    sbm.add_argument("--cycles", type=int, default=10, help="Hermite cycles")
-    sbm.add_argument("--dt", type=float, default=1e-3, help="fixed timestep")
-    sbm.add_argument("--adaptive", action="store_true",
-                     help="use the adaptive Aarseth shared timestep")
-    sbm.add_argument("--backend", default="device",
-                     help="registered force backend, one of: "
-                          f"{', '.join(BACKENDS.names())}")
-    sbm.add_argument("--cores", type=int, default=None)
-    sbm.add_argument("--cards", type=int, default=None)
-    sbm.add_argument("--workers", default=None, choices=WORKER_MODES)
-    sbm.add_argument("--threads", type=int, default=None)
-    sbm.add_argument("--mesh", type=int, default=None)
-    sbm.add_argument("--cutoff", type=float, default=None)
-    sbm.add_argument("--softening", type=float, default=0.0)
-    sbm.add_argument("--seed", type=int, default=0)
-    add_integrator_flags(sbm)
+    _add_run_flags(sbm)
     sbm.add_argument("--follow", action="store_true",
                      help="stream the job's progress events (NDJSON)")
     sbm.add_argument("--no-wait", action="store_true",
@@ -384,7 +356,9 @@ def _residency_lines(backend) -> list[str]:
     return [f"Residency (cumulative across timesteps): {body}"]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _simulate(args: argparse.Namespace, **overrides):
+    """The run path of ``simulate`` and ``trace``: resolve the spec, run
+    it, print its summary.  Returns ``(exit code, trace or None)``."""
     import os
 
     from .backends import RunSpec
@@ -393,11 +367,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .observability import Trace
 
     try:
-        spec = RunSpec.from_cli(args, os.environ)
+        spec = RunSpec.from_cli(args, os.environ, **overrides)
         backend = spec.make_backend()
     except ConfigurationError as exc:
-        print(f"repro simulate: {exc}", file=sys.stderr)
-        return 2
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2, None
 
     system = spec.make_system()
     initial = energy_report(system, softening=spec.softening)
@@ -420,19 +394,43 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.snapshot:
         save_npz(args.snapshot, system)
         print(f"snapshot written to {args.snapshot}")
-    if getattr(args, "profile", False):
+    if args.profile:
         print()
         print(_profile_report(backend))
+    return 0, trace
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    return _simulate(args)[0]
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    """``simulate`` with its trace written to ``--out``, then the metrics
+    CSV, the modelled seconds by category and the flamegraph."""
+    from .observability import format_flamegraph
+
+    code, trace = _simulate(args, trace_path=args.out)
+    if code:
+        return code
+    trace.metrics.write_csv(f"{args.out}.metrics.csv")
+    print(f"metrics csv written to {args.out}.metrics.csv")
+    print()
+    print("modelled seconds by category:")
+    for category, seconds in sorted(trace.seconds_by_category().items()):
+        print(f"  {category:>10}: {seconds:.6f} s")
+    print()
+    print(format_flamegraph(trace, min_share=args.min_share))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .backends import make_backend
-    from .core import plummer, validate_forces
+    from .backends import BackendSpec, RunSpec
+    from .core import validate_forces
 
-    system = plummer(args.n, seed=args.seed)
-    backend = make_backend("tt", cores=args.cores, fmt=args.format)
-    ev = backend.compute(system.pos, system.vel, system.mass)
+    spec = RunSpec(n=args.n, seed=args.seed, backend=BackendSpec(
+        "tt", {"cores": args.cores, "fmt": args.format}))
+    system = spec.make_system()
+    ev = spec.make_backend().compute(system.pos, system.vel, system.mass)
     report = validate_forces(
         system.pos, system.vel, system.mass, ev.acc, ev.jerk
     )
@@ -511,47 +509,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"campaign report written to {path}")
     if traced is not None:
         _write_trace_outputs(*traced)
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .backends import make_backend
-    from .core import Simulation, energy_report, plummer
-    from .core.simulation import HostCostModel
-    from .observability import Trace, format_flamegraph
-    from .wormhole.params import DEFAULT_COSTS
-
-    trace = Trace()
-    system = plummer(args.n, seed=args.seed)
-    initial = energy_report(system, softening=args.softening)
-    backend = make_backend(
-        "tt", cores=args.cores, softening=args.softening
-    )
-    # charge the host-resident double-precision work too, so the trace
-    # shows the paper's full phase structure (predict/correct are real
-    # phases, not zero-width markers)
-    host_cost = HostCostModel(
-        seconds_per_particle_cycle=DEFAULT_COSTS.host_per_particle_s,
-        init_seconds=2.0,
-    )
-    sim = Simulation(
-        system, backend, dt=args.dt, host_cost=host_cost, trace=trace
-    )
-    sim.run(args.cycles)
-    final = energy_report(system, softening=args.softening)
-
-    print(f"backend: {backend.name} (engine={backend.engine})")
-    print(f"N = {args.n}, cycles = {args.cycles}, "
-          f"energy drift |dE/E0| = {final.drift_from(initial):.3e}")
-    _write_trace_outputs(trace, args.out)
-    trace.metrics.write_csv(f"{args.out}.metrics.csv")
-    print(f"metrics csv written to {args.out}.metrics.csv")
-    print()
-    print("modelled seconds by category:")
-    for category, seconds in sorted(trace.seconds_by_category().items()):
-        print(f"  {category:>10}: {seconds:.6f} s")
-    print()
-    print(format_flamegraph(trace, min_share=args.min_share))
     return 0
 
 
@@ -716,7 +673,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from .service import ServiceClient
 
     try:
-        spec = RunSpec.from_cli(args, env=os.environ)
+        spec = RunSpec.from_cli(args, os.environ)
     except ConfigurationError as exc:
         print(f"repro submit: {exc}", file=sys.stderr)
         return 2

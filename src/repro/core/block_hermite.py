@@ -36,7 +36,7 @@ import numpy as np
 from ..errors import ConfigurationError, IntegratorError
 from .hermite import correct
 from .particles import ParticleSystem
-from .simulation import Driver, ForceBackend, HostCostModel, _require_dt
+from .simulation import Driver, ForceBackend, _require_dt
 from .timestep import aarseth_timestep, initial_timestep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,7 +90,6 @@ class BlockHermiteIntegrator(Driver):
         eta_start: float = 0.01,
         dt_max: float = 0.0625,
         block_levels: int = MAX_LEVEL,
-        host_cost: HostCostModel = HostCostModel(),
         trace: "Trace | None" = None,
     ) -> None:
         self.dt = _require_dt(dt, self.name)
@@ -110,7 +109,7 @@ class BlockHermiteIntegrator(Driver):
             raise ConfigurationError(
                 f"block_levels must be in [1, {MAX_LEVEL}], got {block_levels}"
             )
-        super().__init__(system, backend, host_cost=host_cost, trace=trace)
+        super().__init__(system, backend, trace=trace)
         self.eta = eta
         self.eta_start = eta_start
         self.dt_max = dt_max

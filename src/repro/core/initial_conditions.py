@@ -64,6 +64,20 @@ def _virial_scale(pos, vel, mass) -> tuple[np.ndarray, np.ndarray]:
     return pos, vel
 
 
+def _plummer_mass_inside(radius: float) -> float:
+    """M(r) = r^3 / (1 + r^2)^{3/2}, the Plummer mass inside ``radius``."""
+    with np.errstate(invalid="ignore"):  # r = inf: inf / inf is NaN
+        return (radius / np.hypot(1.0, radius)) ** 3
+
+
+def _plummer_cutoff_problem(cutoff_radius: float) -> str | None:
+    """Why :func:`plummer` cannot draw radii under ``cutoff_radius`` (None:
+    it can); the scenario registry validates the option with it too."""
+    if _plummer_mass_inside(cutoff_radius) > 0:
+        return None
+    return "must be positive, finite and not vanishingly small"
+
+
 def plummer(
     n: int,
     *,
@@ -80,15 +94,11 @@ def plummer(
     distant particle cannot dominate the virial scaling.
     """
     _require_n(n, 2)
-    # M(c) = c^3 / (1 + c^2)^{3/2}: the mass inside the cutoff, so the
-    # chance that a radius drawn from X ~ U(0, 1) lands inside it
-    m_cut = (cutoff_radius / np.hypot(1.0, cutoff_radius)) ** 3
-    if not m_cut > 0:
-        # no radius falls under the cutoff (c <= 0, or c^3 underflows)
-        raise ConfigurationError(
-            f"cutoff_radius must be positive and not vanishingly small, "
-            f"got {cutoff_radius}"
-        )
+    problem = _plummer_cutoff_problem(cutoff_radius)
+    if problem:
+        raise ConfigurationError(f"cutoff_radius {problem}, got {cutoff_radius}")
+    # the chance that a radius drawn from X ~ U(0, 1) lands inside the cutoff
+    m_cut = _plummer_mass_inside(cutoff_radius)
     rng = np.random.default_rng(seed)
     mass = np.full(n, 1.0 / n)
 

@@ -29,7 +29,7 @@ from .block_hermite import MAX_LEVEL, BlockHermiteIntegrator
 from .leapfrog import LeapfrogDriver
 from .protocol import TimelineSegment
 from .registry import OptionSpec, Registry, Spec, in_range, one_of, positive
-from .simulation import HermiteIntegrator, HostCostModel, SimulationResult
+from .simulation import HermiteIntegrator, SimulationResult
 from .timestep import SharedTimestep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,7 +74,6 @@ def make_integrator(
     *,
     dt: float | None = None,
     adaptive: bool = False,
-    host_cost: HostCostModel | None = None,
     trace: Any = None,
     **extra: Any,
 ) -> Integrator:
@@ -82,17 +81,14 @@ def make_integrator(
 
     ``dt`` and ``adaptive`` come from the run (not the integrator
     options): they say how far one ``run(n_cycles)`` cycle advances and
-    whether the shared-step scheme adapts its step.  ``extra`` options
+    whether the shared-step scheme adapts its step.  The host work is
+    priced by the backend's own ``host_cost``.  ``extra`` options
     override the spec's, mirroring :func:`~repro.backends.registry
     .make_backend`.
     """
     entry, options = INTEGRATORS.resolve(spec, **extra)
     return entry.factory(
-        system, backend,
-        dt=dt, adaptive=adaptive,
-        host_cost=host_cost if host_cost is not None else HostCostModel(),
-        trace=trace,
-        **options,
+        system, backend, dt=dt, adaptive=adaptive, trace=trace, **options
     )
 
 
@@ -107,19 +103,15 @@ def _validate_power_of_two(value: float) -> str | None:
     return None
 
 
-def _make_hermite(system, backend, *, dt, adaptive, host_cost, trace,
+def _make_hermite(system, backend, *, dt, adaptive, trace,
                   eta, eta_start, dt_min, dt_max, criterion):
     if not adaptive:
-        return HermiteIntegrator(
-            system, backend, dt=dt, host_cost=host_cost, trace=trace
-        )
+        return HermiteIntegrator(system, backend, dt=dt, trace=trace)
     timestep = SharedTimestep(
         eta=eta, eta_start=eta_start, dt_min=dt_min, dt_max=dt_max,
         criterion=criterion,
     )
-    return HermiteIntegrator(
-        system, backend, timestep=timestep, host_cost=host_cost, trace=trace,
-    )
+    return HermiteIntegrator(system, backend, timestep=timestep, trace=trace)
 
 
 def _make_block_hermite(system, backend, *, adaptive, **options):

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .particles import ParticleSystem
-from .simulation import Driver, ForceBackend, HostCostModel, _require_dt
+from .simulation import Driver, ForceBackend, _require_dt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..observability import Trace
@@ -51,11 +51,10 @@ class LeapfrogDriver(Driver):
         backend: ForceBackend,
         *,
         dt: float | None,
-        host_cost: HostCostModel = HostCostModel(),
         trace: "Trace | None" = None,
     ) -> None:
         self.dt = _require_dt(dt, self.name)
-        super().__init__(system, backend, host_cost=host_cost, trace=trace)
+        super().__init__(system, backend, trace=trace)
 
     def _first_evaluation(self) -> None:
         s = self.system

@@ -31,6 +31,14 @@ the same state — a subset evaluation is a cost optimisation, never an
 accuracy trade.  Use :func:`supports_targets` to probe a backend and
 :func:`compute_on_targets` to dispatch with a masked-``compute``
 fallback for backends that have not (yet) specialised.
+
+Host-cost contract
+------------------
+
+A backend prices the host work around its evaluations (predictor,
+corrector, one-time init) through an optional ``host_cost`` attribute, a
+:class:`HostCostModel`; the driver charges it, whoever runs the backend.
+A backend without one charges no host work.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import numpy as np
 
 __all__ = [
     "TimelineSegment",
+    "HostCostModel",
     "ForceEvaluation",
     "ForceBackend",
     "TracedForceBackend",
@@ -60,6 +69,18 @@ class TimelineSegment:
     tag: str
     seconds: float
     detail: str = ""
+
+
+@dataclass(frozen=True)
+class HostCostModel:
+    """Modelled cost of the host-resident double-precision work: once
+    ``init_seconds``, then per step ½·(``seconds_per_cycle`` +
+    ``seconds_per_particle_cycle``·N) to predict all N particles and the
+    same over the moved ones to correct them."""
+
+    seconds_per_particle_cycle: float = 0.0
+    init_seconds: float = 0.0
+    seconds_per_cycle: float = 0.0
 
 
 @dataclass(frozen=True)

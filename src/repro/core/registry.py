@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -94,7 +95,7 @@ class OptionSpec:
             except ValueError:
                 pass
         raise ConfigurationError(
-            f"backend option {self.name!r} expects {self.type.__name__}, "
+            f"option {self.name!r} expects {self.type.__name__}, "
             f"got {value!r}"
         )
 
@@ -102,11 +103,11 @@ class OptionSpec:
 def in_range(low: float, high: float | None = None
              ) -> Callable[[Any], str | None]:
     """An :attr:`OptionSpec.validate` for ``low <= value`` (``<= high``);
-    NaN lies in no range."""
-    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+    NaN and the infinities lie in no range."""
+    bounds = f"finite and >= {low}" if high is None else f"in [{low}, {high}]"
 
     def check(value: Any) -> str | None:
-        if low <= value and (high is None or value <= high):
+        if low <= value < math.inf and (high is None or value <= high):
             return None
         return f"must be {bounds}"
 
@@ -121,8 +122,8 @@ def one_of(*choices: Any) -> Callable[[Any], str | None]:
 
 
 def positive(value: float) -> str | None:
-    """An :attr:`OptionSpec.validate` for ``value > 0``."""
-    return None if value > 0 else "must be positive"
+    """An :attr:`OptionSpec.validate` for a finite ``value > 0``."""
+    return None if 0 < value < math.inf else "must be positive and finite"
 
 
 @dataclass(frozen=True)

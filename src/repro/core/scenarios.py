@@ -24,6 +24,7 @@ from typing import Any, Mapping
 
 from ..errors import ConfigurationError, UnknownScenarioError
 from .initial_conditions import (
+    _plummer_cutoff_problem,
     binary,
     cluster_collision,
     cluster_with_binary,
@@ -120,7 +121,8 @@ SCENARIOS.register(
         OptionSpec("virial_scaled", bool, True,
                    "rescale to exact virial equilibrium"),
         OptionSpec("cutoff_radius", float, 22.8,
-                   "outer truncation radius", validate=positive),
+                   "outer truncation radius",
+                   validate=_plummer_cutoff_problem),
     ),
 )
 SCENARIOS.register(

@@ -8,9 +8,10 @@ Wormhole offload (:mod:`repro.nbody_tt`).
 
 Besides physics, the driver assembles the job's *timeline*: each cycle
 contributes host phases (the double-precision predictor/corrector the
-paper keeps on the CPU) and whatever phases the backend reports (device
-compute, PCIe, kernel launches).  The telemetry stack replays this timeline
-at 1 Hz to produce the power traces of the paper's Fig. 4.
+paper keeps on the CPU, priced by the backend) and whatever phases the
+backend reports (device compute, PCIe, kernel launches).  The telemetry
+stack replays this timeline at 1 Hz to produce the power traces of the
+paper's Fig. 4.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .particles import ParticleSystem
 from .protocol import (
     ForceBackend,
     ForceEvaluation,
+    HostCostModel,
     TimelineSegment,
     accepts_trace,
     compute_on_targets,
@@ -89,20 +91,6 @@ class ReferenceBackend:
 
 
 @dataclass(frozen=True)
-class HostCostModel:
-    """Modelled cost of the host-resident double-precision work.
-
-    ``seconds_per_particle_cycle`` covers the predictor, corrector, and
-    FP64<->FP32 marshalling per particle per cycle; ``init_seconds`` is the
-    one-time host initialisation the paper's Fig. 4 shows at job start
-    (cards stay at idle power while it runs).
-    """
-
-    seconds_per_particle_cycle: float = 0.0
-    init_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
 class CycleRecord:
     """Per-cycle diagnostics."""
 
@@ -156,7 +144,8 @@ class Driver:
     """The predict-force-correct loop every integration scheme runs in.
 
     The driver owns everything around the physics: the job timeline, the
-    host-cost pricing (predict ½·c·N, correct ½·c·N_active), one
+    pricing of the backend's ``host_cost`` (predict ½·(k + c·N), correct
+    ½·(k + c·N_moved)), one
     :class:`CycleRecord` and one ``check_finite()`` per step, every Scope
     span, and the backend call (:meth:`_force`, on the full set or on a
     target subset through ``compute_on_targets``).  A scheme supplies
@@ -178,12 +167,11 @@ class Driver:
         system: ParticleSystem,
         backend: ForceBackend,
         *,
-        host_cost: HostCostModel = HostCostModel(),
         trace: "Trace | None" = None,
     ) -> None:
         self.system = system
         self.backend = backend
-        self.host_cost = host_cost
+        self.host_cost = getattr(backend, "host_cost", HostCostModel())
         # the backend still sees None when untraced: the multi-card
         # backends fan cards out over threads only then
         self.trace = trace
@@ -254,6 +242,7 @@ class Driver:
         if n_cycles <= 0:
             raise ConfigurationError(f"n_cycles must be positive, got {n_cycles}")
         scope = self._scope
+        per_cycle = self.host_cost.seconds_per_cycle
         per_particle = self.host_cost.seconds_per_particle_cycle
         timeline: list[TimelineSegment] = []
         records: list[CycleRecord] = []
@@ -267,14 +256,15 @@ class Driver:
             for index, dt in enumerate(self._step_sizes(n_cycles)):
                 # the predictor touches every particle, the corrector only
                 # the ones the step moved
-                predict_s = 0.5 * per_particle * self.system.n
+                predict_s = 0.5 * (per_cycle + per_particle * self.system.n)
                 with scope.span("cycle", category="sim", index=index, dt=dt):
                     scope.add_span("predict", predict_s, category="host")
-                    correct_s = 0.5 * per_particle * self._step(dt)
+                    moved = self._step(dt)
+                    correct_s = 0.5 * (per_cycle + per_particle * moved)
                     scope.add_span("correct", correct_s, category="host")
                 self.system.check_finite()
                 segments = self._drain()
-                if per_particle > 0.0:
+                if predict_s > 0.0:
                     segments = (
                         [TimelineSegment("host", predict_s, "predict")]
                         + segments
@@ -309,8 +299,6 @@ class HermiteIntegrator(Driver):
     timestep:
         Adaptive :class:`SharedTimestep` scheme.  It uses the startup
         criterion until the integrator has corrected a step of its own.
-    host_cost:
-        Modelled cost of host-resident work (zero for pure-physics runs).
     trace:
         Optional :class:`~repro.observability.Trace` ("Scope").
     """
@@ -324,7 +312,6 @@ class HermiteIntegrator(Driver):
         *,
         dt: float | None = None,
         timestep: SharedTimestep | None = None,
-        host_cost: HostCostModel = HostCostModel(),
         trace: "Trace | None" = None,
     ) -> None:
         if (dt is None) == (timestep is None):
@@ -333,7 +320,7 @@ class HermiteIntegrator(Driver):
             )
         if dt is not None:
             _require_dt(dt, self.name)
-        super().__init__(system, backend, host_cost=host_cost, trace=trace)
+        super().__init__(system, backend, trace=trace)
         self.fixed_dt = dt
         self.timestep = timestep
         # snap and crackle of the last corrected step (None before one)
@@ -392,7 +379,6 @@ class Simulation:
         *,
         dt: float | None = None,
         timestep: SharedTimestep | None = None,
-        host_cost: HostCostModel = HostCostModel(),
         trace: "Trace | None" = None,
         integrator: "Spec | str | Mapping[str, Any] | None" = None,
     ) -> None:
@@ -407,13 +393,11 @@ class Simulation:
                 )
             # HermiteIntegrator itself enforces dt/timestep exclusivity
             self._impl = HermiteIntegrator(
-                system, backend, dt=dt, timestep=timestep,
-                host_cost=host_cost, trace=trace,
+                system, backend, dt=dt, timestep=timestep, trace=trace,
             )
         else:
             self._impl = make_integrator(
-                spec, system, backend, dt=dt, adaptive=False,
-                host_cost=host_cost, trace=trace,
+                spec, system, backend, dt=dt, adaptive=False, trace=trace,
             )
 
     @property
@@ -430,11 +414,6 @@ class Simulation:
     def trace(self):
         """The attached Scope trace, or None."""
         return self._impl.trace
-
-    @property
-    def host_cost(self) -> HostCostModel:
-        """The host-side cost model charged per cycle."""
-        return self._impl.host_cost
 
     @property
     def integrator_name(self) -> str:

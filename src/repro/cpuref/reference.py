@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.protocol import ForceEvaluation, TimelineSegment, normalize_targets
-from ..errors import ConfigurationError
+from ..core.protocol import (
+    ForceEvaluation,
+    HostCostModel,
+    TimelineSegment,
+    normalize_targets,
+)
 from .mpi import FakeComm, split_counts
 from .openmp import OpenMPModel, chunk_ranges
 from .params import CpuCostParams, DEFAULT_CPU_COSTS, EPYC_9124_DUAL, HostParams
@@ -54,6 +58,13 @@ class CPUForceBackend:
             )
         else:
             self._noise = 1.0
+        #: the serial section (predictor/corrector and bookkeeping) a
+        #: driver charges around each evaluation, under the same noise
+        self.host_cost = HostCostModel(
+            costs.serial_seconds_per_particle * self._noise,
+            init_seconds=costs.init_seconds,
+            seconds_per_cycle=costs.serial_seconds_per_cycle * self._noise,
+        )
         self.name = f"cpu-ref-omp{n_threads}-mpi{self.comm.Get_size()}"
 
     @property
@@ -131,18 +142,6 @@ class CPUForceBackend:
                 "host", seconds, f"force-omp-subset[{idx.size}]"
             ),),
         )
-
-    # -- campaign support --------------------------------------------------
-
-    def job_model_seconds(self, n: int, n_cycles: int) -> float:
-        """Analytic time-to-solution (no noise): used for projections."""
-        if n <= 0 or n_cycles <= 0:
-            raise ConfigurationError("n and n_cycles must be positive")
-        return self.omp.job_seconds(n, n_cycles)
-
-    def host_cycle_seconds(self, n: int) -> float:
-        """Serial per-cycle host work, for the Simulation host cost model."""
-        return self.omp.serial_seconds(n) * self._noise
 
     @property
     def noise_factor(self) -> float:

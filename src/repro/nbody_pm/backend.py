@@ -27,6 +27,7 @@ import numpy as np
 
 from ..core.protocol import (
     ForceEvaluation,
+    HostCostModel,
     TimelineSegment,
     normalize_targets,
 )
@@ -40,6 +41,7 @@ from ..wormhole.params import (
     ChipParams,
     CostParams,
     DEFAULT_COSTS,
+    HOST_INIT_S,
     WORMHOLE_N300,
 )
 from ..wormhole.tile import TILE_ELEMENTS, Tile
@@ -229,8 +231,12 @@ class PMForceBackend:
         self.fmt = DataFormat.FLOAT32
         self.devices = [] if device is None else [device]
         self.queues: list[CommandQueue] = []
+        self.host_cost = HostCostModel()  # host-modelled cpu-pm: none
         if device is not None:
             device.require_open()
+            self.host_cost = HostCostModel(
+                device.costs.host_per_particle_s, init_seconds=HOST_INIT_S
+            )
             chip = device.chip
             if not (1 <= cores <= chip.n_tensix_cores):
                 raise ConfigurationError(

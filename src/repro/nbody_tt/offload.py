@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.protocol import (
     ForceEvaluation,
+    HostCostModel,
     TimelineSegment,
     normalize_targets,
 )
@@ -30,7 +31,13 @@ from ..metalium.kernel import CBConfig, CoreRange, KernelSpec, Program
 from ..wormhole.device import WormholeDevice
 from ..wormhole.dtypes import DataFormat, storage_bytes_per_element
 from ..wormhole.ethernet import EthernetFabric
-from ..wormhole.params import ChipParams, CostParams, DEFAULT_COSTS, WORMHOLE_N300
+from ..wormhole.params import (
+    ChipParams,
+    CostParams,
+    DEFAULT_COSTS,
+    HOST_INIT_S,
+    WORMHOLE_N300,
+)
 from ..wormhole.riscv import RiscvRole
 from ..wormhole.tile import TILE_ELEMENTS, Tile, tiles_needed
 from .engine import BatchedDispatchEngine
@@ -217,6 +224,10 @@ class TTForceBackend:
         self.engine = engine
         self.softening = softening
         self.fmt = fmt
+        #: the host work a driver charges around each evaluation
+        self.host_cost = HostCostModel(
+            device.costs.host_per_particle_s, init_seconds=HOST_INIT_S
+        )
         #: j-stream CB depth in page groups: 1 = single-buffered (the
         #: reader stalls while the compute kernel consumes), 2 = the
         #: paper's overlap of computation and communication
@@ -653,7 +664,7 @@ class DeviceTimeModel:
 
     def init_seconds(self) -> float:
         """One-time host initialisation + program build."""
-        return self.costs.program_build_s + 2.0
+        return self.costs.program_build_s + HOST_INIT_S
 
     def job_seconds(self, n: int, n_cycles: int) -> float:
         """Analytic time-to-solution for the accelerated job."""

@@ -51,7 +51,7 @@ from ..errors import failure_kind as classify_failure
 from ..nbody_tt.offload import DeviceTimeModel
 from ..simclock import Stopwatch, VirtualClock
 from ..wormhole.device import ResetFaultModel
-from ..wormhole.params import CostParams, DEFAULT_COSTS
+from ..wormhole.params import CostParams, DEFAULT_COSTS, HOST_INIT_S
 from .checkpoint import CampaignCheckpoint
 from .energy import EnergyToSolution, SampleRow, energy_to_solution, write_power_csv
 from .ipmi import Ipmi
@@ -351,23 +351,22 @@ class Campaign:
         eval_s = model.eval_seconds(n) * noise
         pcie_s = model.pcie_seconds(n)
         host_cycle_s = model.host_cycle_seconds(n) * noise
-        launch_s = self.device_costs.host_launch_overhead_s
-        segments = [TimelineSegment("host", model.init_seconds(), "init")]
-        segments += [
-            TimelineSegment("launch", launch_s, "dispatch"),
+        evaluation = [
+            TimelineSegment("launch", model.costs.host_launch_overhead_s, "dispatch"),
             TimelineSegment("pcie", pcie_s / 2, "write"),
             TimelineSegment("device", eval_s, "force"),
             TimelineSegment("pcie", pcie_s / 2, "read"),
         ]
+        predict = TimelineSegment("host", host_cycle_s / 2, "predict")
+        correct = TimelineSegment("host", host_cycle_s / 2, "correct")
+        # the functional path's tags: host init, then the first program build
+        segments = [
+            TimelineSegment("host", HOST_INIT_S, "init"),
+            TimelineSegment("launch", model.costs.program_build_s, "program_build"),
+            *evaluation,
+        ]
         for _ in range(spec.n_cycles):
-            segments += [
-                TimelineSegment("host", host_cycle_s / 2, "predict"),
-                TimelineSegment("launch", launch_s, "dispatch"),
-                TimelineSegment("pcie", pcie_s / 2, "write"),
-                TimelineSegment("device", eval_s, "force"),
-                TimelineSegment("pcie", pcie_s / 2, "read"),
-                TimelineSegment("host", host_cycle_s / 2, "correct"),
-            ]
+            segments += [predict, *evaluation, correct]
         return segments
 
     def _reference_segments(self, spec: JobSpec,
@@ -376,16 +375,12 @@ class Campaign:
         n = spec.n_particles
         eval_s = model.force_eval_seconds(n) * noise
         serial_s = model.serial_seconds(n) * noise
-        segments = [
-            TimelineSegment("host", self.cpu_costs.init_seconds, "init"),
-            TimelineSegment("host", eval_s, "force-omp"),
-        ]
+        force = TimelineSegment("host", eval_s, "force-omp")
+        predict = TimelineSegment("host", serial_s / 2, "predict")
+        correct = TimelineSegment("host", serial_s / 2, "correct")
+        segments = [TimelineSegment("host", self.cpu_costs.init_seconds, "init"), force]
         for _ in range(spec.n_cycles):
-            segments += [
-                TimelineSegment("host", serial_s / 2, "predict"),
-                TimelineSegment("host", eval_s, "force-omp"),
-                TimelineSegment("host", serial_s / 2, "correct"),
-            ]
+            segments += [predict, force, correct]
         return segments
 
     # -- job execution -----------------------------------------------------

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 
-__all__ = ["ChipParams", "CostParams", "WORMHOLE_N300", "DEFAULT_COSTS"]
+__all__ = ["ChipParams", "CostParams", "WORMHOLE_N300", "DEFAULT_COSTS",
+           "HOST_INIT_S"]
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,10 @@ class CostParams:
 #: Module-level defaults shared by the simulator unless a test overrides them.
 WORMHOLE_N300 = ChipParams()
 DEFAULT_COSTS = CostParams()
+
+#: One-time host initialisation of an accelerated job [s], before its
+#: program build (Fig. 4: the cards still idle at job start).
+HOST_INIT_S = 2.0
 
 #: The previous-generation Grayskull e150 (the accelerator of Brown &
 #: Barton's stencil work the paper cites): more Tensix cores but slower

@@ -18,10 +18,12 @@ def _backend(name, **options):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 #: RunSpec fields (JSON form) outside a domain the constructors enforce,
 #: and the option the rejection names.  A bad ``workers`` spelling is
-#: rejected whether or not the spec shards; NaN lies in no domain.
+#: rejected whether or not the spec shards; NaN and infinity lie in no
+#: domain.
 OUT_OF_DOMAIN = [
     pytest.param(_backend("tt", cards=cards, workers=workers), "workers",
                  id=f"tt-workers-{workers}-{cards}")
@@ -74,6 +76,29 @@ OUT_OF_DOMAIN = [
         ("cluster_collision-separation",
          _named("scenario", "cluster_collision", separation=0.0),
          "separation"),
+        # infinities lie in no domain either: each of these used to hash
+        # and then fail at set-up
+        ("uniform_sphere-radius-inf",
+         _named("scenario", "uniform_sphere", radius=INF), "radius"),
+        ("hernquist-scale_radius-inf",
+         _named("scenario", "hernquist", scale_radius=INF), "scale_radius"),
+        ("binary-semi_major_axis-inf",
+         _named("scenario", "binary", semi_major_axis=INF),
+         "semi_major_axis"),
+        ("cluster_collision-relative_speed-inf",
+         _named("scenario", "cluster_collision", relative_speed=INF),
+         "relative_speed"),
+        ("cluster_collision-impact_parameter-inf",
+         _named("scenario", "cluster_collision", impact_parameter=INF),
+         "impact_parameter"),
+        ("tt-softening-inf", _backend("tt", softening=INF), "softening"),
+        ("tt-pm-cutoff-inf", _backend("tt-pm", cutoff=INF), "cutoff"),
+        ("cpu-pm-cutoff-inf", _backend("cpu-pm", cutoff=INF), "cutoff"),
+        ("hermite-eta-inf", _named("integrator", "hermite", eta=INF), "eta"),
+        # a cutoff whose enclosed mass underflows: plummer's own test
+        ("plummer-cutoff_radius-underflow",
+         _named("scenario", "plummer", cutoff_radius=1e-110),
+         "cutoff_radius"),
     ]
 ]
 
@@ -131,7 +156,7 @@ class TestFromCli:
         assert spec.backend.options == {"threads": 16}
 
     def test_format_maps_to_fmt(self):
-        spec = RunSpec.from_cli(self._args(format="bfloat16"))
+        spec = RunSpec.from_cli(self._args(fmt="bfloat16"))
         assert spec.backend.options == {"fmt": "bfloat16"}
 
     def test_unset_options_stay_unset(self):
@@ -186,12 +211,6 @@ class TestEnvResolution:
     def test_sanitize_garbage_rejected(self):
         with pytest.raises(ConfigurationError, match="REPRO_SANITIZE"):
             RunSpec().resolved_from_env({"REPRO_SANITIZE": "maybe"})
-
-    def test_environ_updates_is_the_inverse(self):
-        assert RunSpec().environ_updates() == {}
-        assert RunSpec(lint="error", sanitize=True).environ_updates() == {
-            "REPRO_LINT": "error", "REPRO_SANITIZE": "1",
-        }
 
 
 class TestCanonicalHash:

@@ -62,11 +62,10 @@ def _run(integrator: str, backend_key: str, traced: bool) -> dict:
     name, options = BACKEND_CASES[backend_key]
     system = make_scenario("cluster_with_binary", N, 9)
     backend = make_backend(name, **options)
+    backend.host_cost = HOST
     evaluations = _record_evaluations(backend)
     trace = Trace() if traced else None
-    sim = make_integrator(
-        integrator, system, backend, dt=DT, host_cost=HOST, trace=trace
-    )
+    sim = make_integrator(integrator, system, backend, dt=DT, trace=trace)
     try:
         result = sim.run(2)
     finally:

@@ -83,10 +83,18 @@ class TestTimeline:
         assert result.model_seconds == 0.0
         assert result.timeline == []
 
+    @staticmethod
+    def _priced_reference(**host_cost):
+        backend = ReferenceBackend()
+        backend.host_cost = HostCostModel(**host_cost)
+        return backend
+
     def test_host_cost_model_segments(self):
         s = plummer(16, seed=6)
-        host = HostCostModel(seconds_per_particle_cycle=1e-3, init_seconds=2.0)
-        sim = Simulation(s, ReferenceBackend(), dt=0.01, host_cost=host)
+        backend = self._priced_reference(
+            seconds_per_particle_cycle=1e-3, init_seconds=2.0
+        )
+        sim = Simulation(s, backend, dt=0.01)
         result = sim.run(4)
         by_tag = result.seconds_by_tag()
         # init + 4 cycles * 16 particles * 1e-3
@@ -101,6 +109,7 @@ class TestTimeline:
 
         class FakeBackend:
             name = "fake"
+            host_cost = HostCostModel(seconds_per_particle_cycle=1e-3)
 
             def compute(self, pos, vel, mass):
                 from repro.core.forces import accel_jerk_reference
@@ -112,8 +121,7 @@ class TestTimeline:
                 )
 
         s = plummer(16, seed=7)
-        host = HostCostModel(seconds_per_particle_cycle=1e-3)
-        sim = Simulation(s, FakeBackend(), dt=0.01, host_cost=host)
+        sim = Simulation(s, FakeBackend(), dt=0.01)
         result = sim.run(2)
         tags = [seg.tag for seg in result.timeline]
         # init eval produces one device segment, then per cycle host/device/host
@@ -124,8 +132,20 @@ class TestTimeline:
 
     def test_cycle_records_model_seconds(self):
         s = plummer(16, seed=8)
-        host = HostCostModel(seconds_per_particle_cycle=1e-3)
-        sim = Simulation(s, ReferenceBackend(), dt=0.01, host_cost=host)
+        backend = self._priced_reference(seconds_per_particle_cycle=1e-3)
+        sim = Simulation(s, backend, dt=0.01)
         result = sim.run(2)
         for c in result.cycles:
             assert c.model_seconds == pytest.approx(16 * 1e-3)
+
+    def test_per_cycle_host_cost_splits_over_predict_and_correct(self):
+        """predict = ½·(k + c·N), correct = ½·(k + c·N_moved)."""
+        s = plummer(16, seed=9)
+        backend = self._priced_reference(
+            seconds_per_particle_cycle=1e-3, seconds_per_cycle=0.5
+        )
+        result = Simulation(s, backend, dt=0.01).run(2)
+        host = [seg for seg in result.timeline if seg.tag == "host"]
+        assert [seg.detail for seg in host] == ["predict", "correct"] * 2
+        for seg in host:
+            assert seg.seconds == pytest.approx(0.5 * (0.5 + 16 * 1e-3))

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import HostCostModel
 from repro.core.forces import accel_jerk_reference
 from repro.core.initial_conditions import plummer
 from repro.cpuref.mpi import FakeComm, split_counts
+from repro.cpuref.params import DEFAULT_CPU_COSTS
 from repro.cpuref.reference import CPUForceBackend
 from repro.errors import ConfigurationError
 
@@ -118,10 +120,18 @@ class TestCPUForceBackend:
         assert np.array_equal(acc, single.acc)
         assert np.array_equal(jerk, single.jerk)
 
-    def test_job_model_validation(self):
-        b = CPUForceBackend(2, noisy=False)
-        with pytest.raises(ConfigurationError):
-            b.job_model_seconds(0, 10)
+    def test_host_cost_is_the_noisy_serial_section(self):
+        """The host work a driver charges is the reference code's serial
+        section, under the job's one noise factor."""
+        costs = DEFAULT_CPU_COSTS
+        b = CPUForceBackend(2, rng=np.random.default_rng(5))
+        noise = b.noise_factor
+        assert noise != 1.0
+        assert b.host_cost == HostCostModel(
+            costs.serial_seconds_per_particle * noise,
+            init_seconds=costs.init_seconds,
+            seconds_per_cycle=costs.serial_seconds_per_cycle * noise,
+        )
 
     def test_backend_name(self):
         assert CPUForceBackend(32, noisy=False).name == "cpu-ref-omp32-mpi1"

@@ -8,7 +8,6 @@ from repro import (
     Campaign,
     CampaignSummary,
     DataFormat,
-    HostCostModel,
     JobSpec,
     ReferenceBackend,
     Simulation,
@@ -101,12 +100,8 @@ class TestTimelineToTelemetry:
 
         s = plummer(1024, seed=14)
         device = CreateDevice(0)
-        host_cost = HostCostModel(seconds_per_particle_cycle=1e-4,
-                                  init_seconds=1.0)
-        sim = Simulation(
-            s, TTForceBackend(device, n_cores=2), dt=1e-3,
-            host_cost=host_cost,
-        )
+        # the backend prices its own host phases: init and predict/correct
+        sim = Simulation(s, TTForceBackend(device, n_cores=2), dt=1e-3)
         result = sim.run(3)
         timeline = JobTimeline(10.0, result.timeline)
         rng = np.random.default_rng(0)

@@ -42,8 +42,8 @@ class TestTraceCommand:
         assert "(total)" in text
 
     def test_host_phases_have_nonzero_time(self, tmp_path, capsys):
-        """The trace command charges a host cost model, so the paper's
-        full phase structure (host init + per-cycle host slices) shows."""
+        """The device backend prices its host work, so the paper's full
+        phase structure (host init + per-cycle host slices) shows."""
         out = tmp_path / "t.json"
         assert main(["trace", "--n", "256", "--cycles", "1",
                      "--out", str(out)]) == 0
@@ -54,6 +54,23 @@ class TestTraceCommand:
         init = next(e for e in payload["traceEvents"]
                     if e.get("name") == "initialise")
         assert init["dur"] >= 2.0e6  # the 2 s init charge, in us
+
+    def test_takes_every_simulate_flag(self, tmp_path, capsys):
+        """``trace`` is ``simulate`` with a trace path: any backend,
+        integrator and scenario, and the same modelled total."""
+        out = tmp_path / "t.json"
+        flags = ["--n", "64", "--cycles", "1", "--backend", "cpu",
+                 "--threads", "2", "--integrator", "leapfrog",
+                 "--scenario", "uniform_sphere", "--virial-ratio", "0.5"]
+        assert main(["simulate", *flags]) == 0
+        simulated = capsys.readouterr().out
+        assert main(["trace", *flags, "--out", str(out)]) == 0
+        traced = capsys.readouterr().out
+        load_valid_trace(out)
+        total = next(line for line in simulated.splitlines()
+                     if "modelled total" in line)
+        assert total in traced
+        assert "cpu-ref-omp2" in traced and "leapfrog" in traced
 
     def test_min_share_prunes_flamegraph(self, tmp_path, capsys):
         out = tmp_path / "t.json"
