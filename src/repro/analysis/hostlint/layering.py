@@ -43,8 +43,11 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "cpuref": {"errors", "core"},
     "nbody_tt": {"errors", "core", "wormhole", "metalium", "native"},
     # The far-field port: PM mesh/Poisson numerics plus the Metalium FFT
-    # kernel set; reuses nbody_tt's tiling assignment and op-mix pricing.
-    "nbody_pm": {"errors", "core", "wormhole", "metalium", "nbody_tt"},
+    # kernel set; reuses nbody_tt's tiling assignment and op-mix pricing,
+    # and runs its near field on a native kernel.
+    "nbody_pm": {
+        "errors", "core", "wormhole", "metalium", "nbody_tt", "native",
+    },
     # The backends layer aggregates the competitors: registry, sharded
     # composite and RunSpec sit above all of them.
     "backends": {

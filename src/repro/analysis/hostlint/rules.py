@@ -36,9 +36,13 @@ MODELLED_TIME_PACKAGES = frozenset({
     "metalium", "nbody_tt", "nbody_pm", "cpuref", "backends",
 })
 
-#: Layers whose code runs on the sharded backend's per-card threads:
-#: module-level mutable state there is a cross-thread race surface.
-WORKER_CONTEXT_PACKAGES = frozenset({"backends", "nbody_tt"})
+#: Layers whose code runs on the sharded backend's per-card threads —
+#: the backends, and the CommandQueue and TensixCore code each card
+#: thread drives: module-level mutable state there is a cross-thread race
+#: surface.
+WORKER_CONTEXT_PACKAGES = frozenset(
+    {"backends", "nbody_tt", "metalium", "wormhole"}
+)
 
 
 @dataclass(frozen=True)

@@ -245,12 +245,21 @@ class RunSpec:
         return replace(self, backend=Spec(name, options))
 
     def make_backend(self, **extra: Any) -> ForceBackend:
-        """Realise the backend, forcing the spec's softening."""
+        """Realise the backend, forcing the spec's softening.
+
+        A device backend also gets the spec's ``lint`` and ``sanitize``,
+        so every program it enqueues is linted and/or sanitized
+        (``sanitize=False`` leaves the ambient sanitizer in charge).
+        """
         entry = BACKENDS.entry(self.backend.name)
         declared = {o.name for o in entry.options}
         if "softening" in declared and "softening" not in self.backend.options:
             extra.setdefault("softening", self.softening)
-        return make_backend(self.backend, **extra)
+        backend = make_backend(self.backend, **extra)
+        set_checks = getattr(backend, "set_checks", None)
+        if set_checks is not None:
+            set_checks(lint=self.lint, sanitize=self.sanitize or None)
+        return backend
 
     def with_integrator(self, name: str, **options: Any) -> "RunSpec":
         return replace(self, integrator={"name": name, "options": options})

@@ -187,6 +187,13 @@ class ShardedTTBackend:
         for child in self.children:
             child.trace = trace
 
+    def set_checks(self, *, lint: str = "off",
+                   sanitize: bool | None = None) -> None:
+        """Lint and/or sanitize every card's programs (see
+        :meth:`~repro.nbody_tt.offload.TTForceBackend.set_checks`)."""
+        for child in self.children:
+            child.set_checks(lint=lint, sanitize=sanitize)
+
     # -- devices (profile / introspection) ---------------------------------
 
     @property

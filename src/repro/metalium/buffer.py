@@ -200,6 +200,18 @@ class DramBuffer:
     def is_live(self) -> bool:
         return self._alloc is not None
 
+    def extent(self) -> tuple[int, int]:
+        """``(address, size_bytes)``, after the checks a tile access makes.
+
+        Raises as a kernel's first access would: :class:`HostApiError`
+        once the buffer is deallocated, :class:`DeviceMemoryError` when
+        its DRAM allocation is gone.
+        """
+        self._require_live()
+        address = self._alloc.address
+        self.device.dram.check_live(address, self.size_bytes)
+        return address, self.size_bytes
+
     def _require_live(self) -> None:
         if self._alloc is None:
             raise HostApiError("buffer has been deallocated")

@@ -130,6 +130,8 @@ def EnqueueProgram(queue: CommandQueue, program: Program, *,
     defers to the ``REPRO_LINT`` environment variable, defaulting to off.
     ``sanitize`` selects checked execution (see
     :meth:`~repro.metalium.command_queue.CommandQueue.enqueue_program`).
+    A linted or sanitized program always executes: it never replays a
+    memoised outcome.
     """
     mode = lint if lint is not None else os.environ.get("REPRO_LINT", "off")
     if mode not in _LINT_MODES:
@@ -152,7 +154,8 @@ def EnqueueProgram(queue: CommandQueue, program: Program, *,
                 f"program lint findings:\n{report.format()}",
                 stacklevel=2,
             )
-    return queue.enqueue_program(program, sanitize=sanitize)
+    return queue.enqueue_program(program, sanitize=sanitize,
+                                 linted=mode != "off")
 
 
 def Finish(queue: CommandQueue) -> float:

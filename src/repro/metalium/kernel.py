@@ -93,6 +93,14 @@ class Program:
     runtime_args: dict[int, dict[str, Any]] = field(default_factory=dict)
     #: set by the command queue after first enqueue (compile caching)
     built: bool = False
+    #: what the kernel bodies do beyond the fields above: the kernel set
+    #: and every parameter their closures bake in.  Only builders of
+    #: charge-only programs set it; the command queue then memoises the
+    #: program's charges (None: the program always executes)
+    replay_key: tuple | None = None
+    #: the DRAM buffers those kernels touch: their extents join the memo
+    #: key, and a memoised replay checks each one as an access would
+    replay_buffers: tuple = ()
 
     def add_kernel(self, spec: KernelSpec) -> None:
         if any(k.role is spec.role for k in self.kernels):

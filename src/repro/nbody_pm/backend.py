@@ -34,6 +34,7 @@ from ..core.protocol import (
 from ..errors import ConfigurationError, HostApiError
 from ..metalium.buffer import DramBuffer
 from ..metalium.command_queue import CommandQueue
+from ..metalium.host_api import EnqueueProgram, GetCommandQueue
 from ..nbody_tt.force_kernel import weighted_ops_per_j
 from ..nbody_tt.tiling import assign_tiles_to_cores
 from ..wormhole.dtypes import DataFormat
@@ -242,8 +243,6 @@ class PMForceBackend:
                 raise ConfigurationError(
                     f"core count {cores} outside [1, {chip.n_tensix_cores}]"
                 )
-            from ..metalium.host_api import GetCommandQueue
-
             try:
                 self.queues = [GetCommandQueue(device)]
             except HostApiError:
@@ -258,6 +257,8 @@ class PMForceBackend:
         self._buffers: dict[str, tuple[DramBuffer, DramBuffer]] = {}
         self._programs: dict[tuple[str, str], object] = {}
         self._grid_bytes_uploaded = 0
+        self._lint = "off"
+        self._sanitize: bool | None = None
         #: last evaluation's mesh + grids, kept for tests and diagnostics
         self.last_mesh_spec: MeshSpec | None = None
         self.last_grids: dict[str, np.ndarray] = {}
@@ -282,6 +283,13 @@ class PMForceBackend:
         self._trace = trace
         for queue in self.queues:
             queue.trace = trace
+
+    def set_checks(self, *, lint: str = "off",
+                   sanitize: bool | None = None) -> None:
+        """Lint and/or sanitize every FFT program (see
+        :meth:`~repro.nbody_tt.offload.TTForceBackend.set_checks`)."""
+        self._lint = lint
+        self._sanitize = sanitize
 
     def residency_counters(self) -> dict[str, int]:
         """Monotonic counters for the grid-side caches and uploads."""
@@ -337,8 +345,20 @@ class PMForceBackend:
             program.set_runtime_args(
                 core_index, {"batches": assignment[core_index]}
             )
+        # every program here is charge-only: its charges depend on the
+        # runtime args, the CBs, the buffers and these
+        program.replay_key = (
+            "pm-kspace" if kspace else "pm-fft", self.model.m2, self.fmt,
+        )
+        program.replay_buffers = (*self._buffers[src], *self._buffers[dst])
         self._programs[key] = program
         return program
+
+    def _enqueue(self, src: str, dst: str, *, kspace: bool = False) -> float:
+        return EnqueueProgram(
+            self.queues[0], self._program(src, dst, kspace=kspace),
+            lint=self._lint, sanitize=self._sanitize,
+        )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -438,15 +458,13 @@ class PMForceBackend:
         device_s = 0.0
         # Forward 3D FFT of the deposited mass grid: R0 -> R1 -> R0 -> R1.
         for src, dst in (("R0", "R1"), ("R1", "R0"), ("R0", "R1")):
-            device_s += queue.enqueue_program(self._program(src, dst))
+            device_s += self._enqueue(src, dst)
         # Per acceleration component: Green's multiply + gradient into the
         # work pair, inverse 3D FFT, then fetch the real plane.
         for _component in range(3):
-            device_s += queue.enqueue_program(
-                self._program("R1", "W0", kspace=True)
-            )
+            device_s += self._enqueue("R1", "W0", kspace=True)
             for src, dst in (("W0", "W1"), ("W1", "W0"), ("W0", "W1")):
-                device_s += queue.enqueue_program(self._program(src, dst))
+                device_s += self._enqueue(src, dst)
             queue.charge_read_buffer(self._buffers["W1"][0])
 
         segments = [

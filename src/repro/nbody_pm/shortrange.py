@@ -9,9 +9,12 @@ roughly uniform density.
 
 Pair finding is a dense cell list at the cutoff scale: particles are
 binned into ``r_cut``-sized cells with a stable argsort, and each of the
-27 neighbour-cell offsets is processed as one vectorised batch.
-Accumulation uses ``np.add.at`` in a fixed offset order, so the result
-is deterministic bit for bit.
+27 neighbour-cell offsets is processed as one vectorised batch whose
+neighbour cells are found by ``np.searchsorted`` over the sorted cell
+ids.  Accumulation uses ``np.add.at`` in a fixed offset order, so the
+result is deterministic bit for bit.  The same walk runs in C when the
+kernel of :mod:`repro.nbody_pm._native` is available, bit-identical to
+this NumPy path, which stays the oracle and the fallback.
 
 Because the screening factor is an analytic function of ``r``, the
 near-field *jerk* is exact too::
@@ -27,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.units import G_NBODY
+from ._native import native_near_field
 from .splitting import split_weights
 
 __all__ = ["near_field_correction"]
@@ -38,6 +42,27 @@ _OFFSETS = [
     for dy in (-1, 0, 1)
     for dz in (-1, 0, 1)
 ]
+
+
+def _bin_cells(pos: np.ndarray, r_cut: float):
+    """The cell list: ``(cell, dims, order, uniq, start, counts)``.
+
+    ``cell`` is each particle's integer cell, ``dims`` the grid extent,
+    ``order`` the particles sorted by cell id (stable), and ``uniq`` /
+    ``start`` / ``counts`` the occupied cell ids, ascending, with each
+    one's run in ``order``.
+    """
+    lo = pos.min(axis=0)
+    cell = np.floor((pos - lo) / r_cut).astype(np.int64)
+    dims = cell.max(axis=0) + 1
+    cell_id = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    order = np.argsort(cell_id, kind="stable")
+    uniq, start = np.unique(cell_id[order], return_index=True)
+    counts = np.diff(np.append(start, len(pos)))
+    return tuple(
+        np.ascontiguousarray(a, dtype=np.int64)
+        for a in (cell, dims, order, uniq, start, counts)
+    )
 
 
 def near_field_correction(
@@ -63,9 +88,9 @@ def near_field_correction(
     in the identical ``np.add.at`` order — its values are bit-identical
     to the same row of an unfiltered call.
     """
-    pos = np.asarray(pos, dtype=np.float64)
-    vel = np.asarray(vel, dtype=np.float64)
-    mass = np.asarray(mass, dtype=np.float64)
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    vel = np.ascontiguousarray(vel, dtype=np.float64)
+    mass = np.ascontiguousarray(mass, dtype=np.float64)
     n = len(pos)
     acc = np.zeros((n, 3), dtype=np.float64)
     jerk = np.zeros((n, 3), dtype=np.float64)
@@ -75,18 +100,20 @@ def near_field_correction(
     if targets is not None:
         target_mask = np.zeros(n, dtype=bool)
         target_mask[np.asarray(targets, dtype=np.intp)] = True
+    cells = _bin_cells(pos, r_cut)
+    kw = dict(r_cut=r_cut, split_scale=split_scale, softening=softening,
+              G=G, acc=acc, jerk=jerk)
+    n_pairs = native_near_field(pos, vel, mass, cells, target_mask, **kw)
+    if n_pairs is None:
+        n_pairs = _near_numpy(pos, vel, mass, cells, target_mask, **kw)
+    return acc, jerk, n_pairs
 
-    # Bin into r_cut cells; argsort(kind="stable") fixes iteration order.
-    lo = pos.min(axis=0)
-    cell = np.floor((pos - lo) / r_cut).astype(np.int64)
-    dims = cell.max(axis=0) + 1
-    cell_id = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
-    order = np.argsort(cell_id, kind="stable")
-    sorted_ids = cell_id[order]
-    uniq, start = np.unique(sorted_ids, return_index=True)
-    counts = np.diff(np.append(start, n))
-    first_of = dict(zip(uniq.tolist(), zip(start.tolist(), counts.tolist())))
 
+def _near_numpy(pos, vel, mass, cells, target_mask, *, r_cut, split_scale,
+                softening, G, acc, jerk) -> int:
+    """The NumPy near field: accumulates into ``acc``/``jerk``, returns
+    the pair count (the oracle of :mod:`repro.nbody_pm._native`)."""
+    cell, dims, order, uniq, start, counts = cells
     r_cut2 = r_cut * r_cut
     eps2 = softening * softening
     n_pairs = 0
@@ -103,15 +130,13 @@ def near_field_correction(
             i_idx = i_idx[target_mask[i_idx]]
             if i_idx.size == 0:
                 continue
-        lookup = np.array(
-            [first_of.get(int(c), (0, 0)) for c in nb_id[i_idx]],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        starts, lens = lookup[:, 0], lookup[:, 1]
-        present = lens > 0
+        wanted = nb_id[i_idx]
+        k = np.minimum(np.searchsorted(uniq, wanted), uniq.size - 1)
+        present = uniq[k] == wanted
         if not present.any():
             continue
-        i_idx, starts, lens = i_idx[present], starts[present], lens[present]
+        i_idx, k = i_idx[present], k[present]
+        starts, lens = start[k], counts[k]
         # Expand (i, start, len) triples into flat ordered (i, j) pairs.
         total = int(lens.sum())
         i_rep = np.repeat(i_idx, lens)
@@ -144,4 +169,4 @@ def near_field_correction(
         # from both the 1/r^3 geometry and the moving screen s(r(t)).
         radial = G * mass[j_rep] * (sp * r - 3.0 * s) * rv / (r2 * r2 * r)
         np.add.at(jerk, i_rep, coeff[:, None] * dv + radial[:, None] * dr)
-    return acc, jerk, n_pairs
+    return n_pairs

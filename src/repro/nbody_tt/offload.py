@@ -27,6 +27,7 @@ from ..core.protocol import (
 from ..errors import ConfigurationError, HostApiError, NBodyError
 from ..metalium.buffer import DramBuffer
 from ..metalium.command_queue import CommandQueue
+from ..metalium.host_api import EnqueueProgram, GetCommandQueue
 from ..metalium.kernel import CBConfig, CoreRange, KernelSpec, Program
 from ..wormhole.device import WormholeDevice
 from ..wormhole.dtypes import DataFormat, storage_bytes_per_element
@@ -235,8 +236,6 @@ class TTForceBackend:
         # reuse the device's registered command queue when it was opened
         # through the host API, so callers can inspect the phases and
         # scheduler statistics afterwards
-        from ..metalium.host_api import GetCommandQueue
-
         try:
             self.queues = [GetCommandQueue(device)]
         except HostApiError:
@@ -262,6 +261,8 @@ class TTForceBackend:
         self._upload_skipped_bytes = 0
         self._engine_obj: BatchedDispatchEngine | None = None
         self._placeholder = Tile.zeros(fmt)
+        self._lint = "off"
+        self._sanitize: bool | None = None
         self.name = (
             f"tt-wormhole-dev{len(self.devices)}-cores{self.n_cores}-{fmt.value}"
         )
@@ -288,6 +289,22 @@ class TTForceBackend:
         self._trace = trace
         for queue in self.queues:
             queue.trace = trace
+
+    def set_checks(self, *, lint: str = "off",
+                   sanitize: bool | None = None) -> None:
+        """Lint and/or sanitize every program this backend enqueues.
+
+        Both go to :func:`~repro.metalium.host_api.EnqueueProgram`; the
+        defaults (no lint, follow the ambient sanitizer) are an unchecked
+        run.  :meth:`~repro.backends.RunSpec.make_backend` passes a spec's
+        ``lint`` and ``sanitize`` fields through here.
+        """
+        self._lint = lint
+        self._sanitize = sanitize
+
+    def _enqueue(self, program: Program) -> float:
+        return EnqueueProgram(self.queues[0], program, lint=self._lint,
+                              sanitize=self._sanitize)
 
     # -- cross-timestep residency ---------------------------------------------
 
@@ -386,6 +403,12 @@ class TTForceBackend:
             mine = [my_device_tiles[k] for k in core_tiles[core_index]]
             program.set_runtime_args(
                 core_index, {"my_tiles": mine, "n_tiles": n_tiles}
+            )
+        if charge_only:
+            # the charges depend on the runtime args, the CBs and these
+            program.replay_key = ("tt-force", self.fmt, self.softening > 0.0)
+            program.replay_buffers = (
+                *self._buffers.values(), *self._out_buffers.values(),
             )
         self._programs[cache_key] = program
         return program
@@ -523,7 +546,7 @@ class TTForceBackend:
         self._upload_j_stream(tiles)
 
         self.devices[0].clear_counters()
-        device_s = queue.enqueue_program(
+        device_s = self._enqueue(
             self._program_for(tile_indices, tiles.n_tiles)
         )
 
@@ -545,7 +568,7 @@ class TTForceBackend:
         queue = self.queues[0]
         self._upload_j_stream(tiles)
         self.devices[0].clear_counters()
-        device_s = queue.enqueue_program(
+        device_s = self._enqueue(
             self._program_for(tile_indices, tiles.n_tiles, charge_only=True)
         )
         values = engine.compute_tiles(tile_indices)

@@ -103,6 +103,12 @@ class Dram:
 
     # -- data access ---------------------------------------------------------
 
+    def check_live(self, address: int, size: int) -> None:
+        """Raise :class:`DeviceMemoryError` unless ``[address, address +
+        size)`` lies inside one live allocation — the check every access
+        makes first."""
+        self._locate(address, size)
+
     def _locate(self, address: int, size: int) -> int:
         """Base address of the live allocation holding the access."""
         i = bisect_right(self._bases, address) - 1
