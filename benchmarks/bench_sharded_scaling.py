@@ -42,7 +42,7 @@ WORKER_MODES = ("serial", "thread")
 #: evaluations per configuration; the first pays the program builds
 EVALS = 3
 #: position shift between evaluations: enough to change every float32
-#: position, so the tilize and upload caches miss as on a real timestep
+#: position, as on a real timestep
 POSITION_STEP = 1e-4
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -42,7 +42,7 @@ from ..core.protocol import ForceEvaluation, TimelineSegment, normalize_targets
 from ..errors import ConfigurationError
 from ..wormhole.dtypes import DataFormat
 from ..wormhole.ethernet import EthernetFabric
-from ..wormhole.tile import TILE_ELEMENTS, tiles_needed
+from ..wormhole.tile import TILE_ELEMENTS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nbody_tt.offload import TTForceBackend
@@ -156,9 +156,6 @@ class ShardedTTBackend:
         #: serially regardless of this setting
         self.workers = workers or "thread"
         self.fabric = EthernetFabric(n_cards, devices[0].chip)
-        #: cross-timestep residency generation, forwarded to every card's
-        #: tilize cache (see TTForceBackend.data_generation)
-        self.data_generation: int | None = None
         #: per-card accounting of the most recent evaluation
         self.last_card_costs: list[CardCost] = []
         self.name = (
@@ -206,51 +203,20 @@ class ShardedTTBackend:
         """The per-card command queues, in shard order."""
         return [child.queues[0] for child in self.children]
 
-    # -- cross-timestep residency ------------------------------------------
-
-    def residency_counters(self) -> dict[str, int]:
-        """Aggregated tilize/upload residency counters across all cards."""
-        totals = {
-            "tilize_cache_hits": 0,
-            "tilize_cache_misses": 0,
-            "upload_skipped_bytes": 0,
-        }
-        for child in self.children:
-            counters = child.residency_counters()
-            for name in totals:
-                totals[name] += counters.get(name, 0)
-        return totals
-
-    def invalidate_residency(self) -> None:
-        """Force every card to re-tilize and re-upload on the next call."""
-        for child in self.children:
-            child.invalidate_residency()
-
-    def _sync_residency_metrics(self) -> None:
-        trace = self._trace
-        metrics = getattr(trace, "metrics", None) if trace is not None else None
-        if metrics is None:
-            return
-        for name, total in self.residency_counters().items():
-            counter = metrics.counter(f"residency.{name}")
-            if total > counter.value:
-                counter.add(total - counter.value)
-
     # -- main entry --------------------------------------------------------
 
-    def _evaluate_tiles(self, pos, vel, mass, tile_list, n_tiles,
-                        detail="force"):
+    def _evaluate_tiles(self, tiles, tile_list, detail="force"):
         """Shard a global i-tile list across cards and merge the partials.
 
         The common engine under :meth:`compute` (all tiles) and
         :meth:`compute_on_targets` (the active block's covering tiles):
-        ``tile_list`` is split contiguously across cards, each card
-        tilizes through its own caches and evaluates its shard (on its own
-        thread unless the run is serial), and the merge below always walks
-        cards in ascending index order — so segments, costs and result bits
-        are independent of thread scheduling and of which subset is asked
-        for.  Returns the globally-indexed result tiles plus the merged
-        timeline segments.
+        ``tile_list`` is split contiguously across cards, every card
+        evaluates its shard against the same ``tiles`` (tilized once, on
+        the calling thread) on its own thread unless the run is serial,
+        and the merge below always walks cards in ascending index order —
+        so segments, costs and result bits are independent of thread
+        scheduling and of which subset is asked for.  Returns the
+        globally-indexed result tiles plus the merged timeline segments.
         """
         from ..nbody_tt.tiling import OUT_QUANTITIES
 
@@ -258,7 +224,7 @@ class ShardedTTBackend:
             [tile_list[k] for k in positions]
             for positions in shard_tiles(len(tile_list), self.n_cards)
         ]
-        results = {q: [None] * n_tiles for q in OUT_QUANTITIES}
+        results = {q: [None] * tiles.n_tiles for q in OUT_QUANTITIES}
         segments: list[TimelineSegment] = []
         card_costs: list[CardCost] = []
         trace = self._trace
@@ -267,9 +233,7 @@ class ShardedTTBackend:
         active = [card for card in range(self.n_cards) if shards[card]]
 
         def run(card):
-            return self.children[card].compute_shard(
-                pos, vel, mass, shards[card], generation=self.data_generation
-            )
+            return self.children[card].compute_shard(tiles, shards[card])
 
         if trace is not None or self.workers == "serial":
             # serial, in-line: traced runs must stay single-threaded (the
@@ -328,7 +292,6 @@ class ShardedTTBackend:
             )
 
         self.last_card_costs = card_costs
-        self._sync_residency_metrics()
         return results, segments
 
     def compute(self, pos: np.ndarray, vel: np.ndarray,
@@ -336,13 +299,12 @@ class ShardedTTBackend:
         """Evaluate all forces: shard i-tiles, compute per card, gather."""
         from ..nbody_tt.tiling import OUT_QUANTITIES, ParticleTiles
 
-        n = mass.shape[0]
-        n_tiles = max(1, tiles_needed(n))
+        tiles = ParticleTiles.from_arrays(pos, vel, mass, self.fmt)
         results, segments = self._evaluate_tiles(
-            pos, vel, mass, list(range(n_tiles)), n_tiles
+            tiles, list(range(tiles.n_tiles))
         )
         acc, jerk = ParticleTiles.results_to_arrays(
-            {q: results[q] for q in OUT_QUANTITIES}, n
+            {q: results[q] for q in OUT_QUANTITIES}, tiles.n
         )
         return ForceEvaluation(acc, jerk, segments=tuple(segments))
 
@@ -358,15 +320,14 @@ class ShardedTTBackend:
         targets, serial or threaded.  Device time, per-card costs and
         the ring allgather are priced for the subset actually shipped.
         """
-        n = mass.shape[0]
-        idx = normalize_targets(targets, n)
-        n_tiles = max(1, tiles_needed(n))
+        from ..nbody_tt.tiling import ParticleTiles, subset_rows_from_tiles
+
+        idx = normalize_targets(targets, mass.shape[0])
+        tiles = ParticleTiles.from_arrays(pos, vel, mass, self.fmt)
         needed = sorted({int(t) // TILE_ELEMENTS for t in idx})
         results, segments = self._evaluate_tiles(
-            pos, vel, mass, needed, n_tiles,
-            detail=f"force-subset[{len(needed)}t]",
+            tiles, needed, detail=f"force-subset[{len(needed)}t]",
         )
-        from ..nbody_tt.tiling import subset_rows_from_tiles
 
         acc, jerk = subset_rows_from_tiles(results, idx)
         return ForceEvaluation(acc, jerk, segments=tuple(segments))

@@ -321,7 +321,6 @@ def _profile_report(backend) -> str:
     if children is not None:
         lines = ["Per-card cost accounting (last force evaluation):"]
         lines += [f"  {cost.format()}" for cost in backend.last_card_costs]
-        lines += _residency_lines(backend)
         for child in children:
             lines.append("")
             lines.append(f"-- card {child.devices[0].device_id} --")
@@ -340,18 +339,12 @@ def _profile_report(backend) -> str:
 
 
 def _residency_lines(backend) -> list[str]:
-    """Cross-timestep residency counters, when the backend tracks them."""
+    """Cross-timestep residency counters, when the backend tracks them
+    (``tt-pm``'s Green's-function cache)."""
     counters_fn = getattr(backend, "residency_counters", None)
     if counters_fn is None:
         return []
     counters = counters_fn()
-    if "tilize_cache_hits" in counters:
-        return [
-            "Residency (cumulative across timesteps): "
-            f"tilize cache {counters['tilize_cache_hits']} hits / "
-            f"{counters['tilize_cache_misses']} misses, "
-            f"{counters['upload_skipped_bytes']} upload bytes skipped"
-        ]
     body = ", ".join(f"{k} {v}" for k, v in sorted(counters.items()))
     return [f"Residency (cumulative across timesteps): {body}"]
 

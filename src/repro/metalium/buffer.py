@@ -106,8 +106,8 @@ class DramBuffer:
         """Account a full host->device write without moving bytes.
 
         Identical DRAM byte/cycle accounting and PCIe seconds as
-        :meth:`host_write_tiles`; used when the buffer verifiably already
-        holds the payload (upload cache hit).
+        :meth:`host_write_tiles`; used when nothing reads the payload back
+        (charge-only program replays).
         """
         self._require_live()
         self.device.dram.touch_write(self._alloc.address, self.size_bytes)

@@ -171,11 +171,14 @@ class CommandQueue:
         return tiles
 
     def charge_write_buffer(self, buffer: DramBuffer) -> None:
-        """Account an upload the cache proved redundant (no bytes moved).
+        """Account an upload whose bytes nothing on the device reads.
 
-        The timeline phase, DRAM byte counters, and PCIe seconds are
-        identical to :meth:`enqueue_write_buffer` — the modelled device
-        still pays for the transfer; only the host-side encode is skipped.
+        Used ahead of charge-only programs (the batched-dispatch engine's
+        replay, the PM FFT passes), which stream placeholder pages instead
+        of reading the buffer: the timeline phase, DRAM byte counters,
+        PCIe seconds and sanitizer write are identical to
+        :meth:`enqueue_write_buffer`; only the host-side encode and store
+        are skipped.
         """
         seconds = buffer.host_write_cost()
         self.phases.append(Phase("pcie", seconds, "write_buffer"))

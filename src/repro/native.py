@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
 
@@ -49,9 +50,9 @@ def compile_library(source: str, tag: str) -> ctypes.CDLL | None:
     The artifact lands in the system temp directory under a name derived
     from the hash of (source, flags, compiler), so identical sources load
     without recompiling — across processes and repeated test runs.  The
-    build itself goes to a private temp file and is moved into place
+    build itself goes to a private temp directory and is moved into place
     atomically, so concurrent compiles never observe a half-written
-    library.
+    library; the directory is removed on every path, failures included.
     """
     cc = os.environ.get("CC", "cc")
     digest = hashlib.sha256(
@@ -68,9 +69,9 @@ def compile_library(source: str, tag: str) -> ctypes.CDLL | None:
     build_dir = tempfile.mkdtemp(prefix=f"repro-native-{tag}-")
     src = os.path.join(build_dir, f"{tag}.c")
     lib = os.path.join(build_dir, f"{tag}.so")
-    with open(src, "w") as fh:
-        fh.write(source)
     try:
+        with open(src, "w") as fh:
+            fh.write(source)
         subprocess.run(
             [cc, *CFLAGS, src, "-o", lib, "-lm"],
             check=True, capture_output=True, timeout=120,
@@ -79,6 +80,9 @@ def compile_library(source: str, tag: str) -> ctypes.CDLL | None:
             os.replace(lib, cached)
             return ctypes.CDLL(cached)
         except OSError:
+            # a loaded library stays mapped once its directory is gone
             return ctypes.CDLL(lib)
     except (OSError, subprocess.SubprocessError):
         return None
+    finally:
+        shutil.rmtree(build_dir, ignore_errors=True)

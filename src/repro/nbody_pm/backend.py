@@ -299,10 +299,6 @@ class PMForceBackend:
             "grid_bytes_uploaded": self._grid_bytes_uploaded,
         }
 
-    def invalidate_residency(self) -> None:
-        """Drop the cached Green's-function transforms."""
-        self.solver._green_cache.clear()
-
     def _sync_residency_metrics(self) -> None:
         trace = self._trace
         metrics = getattr(trace, "metrics", None) if trace is not None else None

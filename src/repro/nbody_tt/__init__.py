@@ -29,7 +29,6 @@ from .tiling import (
     OUT_QUANTITIES,
     PAD_OFFSET,
     ParticleTiles,
-    TilizeCache,
     assign_tiles_to_cores,
 )
 
@@ -51,6 +50,5 @@ __all__ = [
     "OUT_QUANTITIES",
     "PAD_OFFSET",
     "ParticleTiles",
-    "TilizeCache",
     "assign_tiles_to_cores",
 ]

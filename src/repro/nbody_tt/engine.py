@@ -9,7 +9,7 @@ the crossover benchmark and the campaign scripts.
 
 This engine is the fast path: the j-stream quantities are stacked **once**
 per evaluation into contiguous working-precision arrays shared by every
-core and device, and each resident i-tile is evaluated against the whole
+core of the card, and each resident i-tile is evaluated against the whole
 j-stream in cache-blocked chunks.  Reduction and accumulation happen at
 exactly the per-tile granularity of the per-block kernel — same NumPy
 pairwise-summation tree per 1024-column tile, same sequential
@@ -67,10 +67,6 @@ class BatchedDispatchEngine:
         )
         self._n_tiles = 0
         self._j: dict[str, np.ndarray] = {}
-        #: column tile-lists (by identity) the current stacks were built
-        #: from — unchanged columns (mass, repeated positions) skip the
-        #: re-stack on the next load
-        self._j_src: dict[str, list] = {}
         #: chunk scratch buffers, keyed by (rows, cols)
         self._scratch: dict[tuple[int, int], list[np.ndarray]] = {}
 
@@ -89,19 +85,12 @@ class BatchedDispatchEngine:
                 f"engine built for {self.fmt.value}, got tiles in "
                 f"{tiles.fmt.value}"
             )
-        if tiles.n_tiles != self._n_tiles:
-            self._j.clear()
-            self._j_src.clear()
         self._n_tiles = tiles.n_tiles
         dtype = np.float32 if self.fmt is DataFormat.FLOAT32 else np.float64
         for q in J_QUANTITIES:
-            col = tiles.columns[q]
-            if self._j_src.get(q) is col:
-                continue  # identical tile list: stack already current
             self._j[q] = np.ascontiguousarray(
-                np.concatenate([t.data for t in col]), dtype=dtype
+                np.concatenate([t.data for t in tiles.columns[q]]), dtype=dtype
             )
-            self._j_src[q] = col
 
     # -- main entry ---------------------------------------------------------
 

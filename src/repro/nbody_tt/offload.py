@@ -30,7 +30,7 @@ from ..metalium.command_queue import CommandQueue
 from ..metalium.host_api import EnqueueProgram, GetCommandQueue
 from ..metalium.kernel import CBConfig, CoreRange, KernelSpec, Program
 from ..wormhole.device import WormholeDevice
-from ..wormhole.dtypes import DataFormat, storage_bytes_per_element
+from ..wormhole.dtypes import DataFormat
 from ..wormhole.ethernet import EthernetFabric
 from ..wormhole.params import (
     ChipParams,
@@ -57,7 +57,6 @@ from .tiling import (
     J_QUANTITIES,
     OUT_QUANTITIES,
     ParticleTiles,
-    TilizeCache,
     assign_tiles_to_cores,
     subset_rows_from_tiles,
 )
@@ -249,16 +248,6 @@ class TTForceBackend:
         #: a sharded composite may hand this backend different i-tile
         #: subsets of the same geometry
         self._programs: dict[tuple[bool, tuple[int, ...]], Program] = {}
-        #: tilize cache: unchanged particle columns skip re-quantisation
-        self._tilize_cache = TilizeCache()
-        #: upload cache: column tile-lists (by identity) currently resident
-        #: in the device's DRAM input buffers
-        self._uploaded: dict[str, list[Tile]] = {}
-        #: cross-timestep residency: callers bump this (or call
-        #: invalidate_residency) when particle state changes; identical
-        #: generations let the tilize cache skip even the value comparison
-        self.data_generation: int | None = None
-        self._upload_skipped_bytes = 0
         self._engine_obj: BatchedDispatchEngine | None = None
         self._placeholder = Tile.zeros(fmt)
         self._lint = "off"
@@ -306,39 +295,12 @@ class TTForceBackend:
         return EnqueueProgram(self.queues[0], program, lint=self._lint,
                               sanitize=self._sanitize)
 
-    # -- cross-timestep residency ---------------------------------------------
-
-    def residency_counters(self) -> dict[str, int]:
-        """Monotonic counters for the tilize and upload caches."""
-        return {
-            "tilize_cache_hits": self._tilize_cache.hits,
-            "tilize_cache_misses": self._tilize_cache.misses,
-            "upload_skipped_bytes": self._upload_skipped_bytes,
-        }
-
-    def invalidate_residency(self) -> None:
-        """Force the next evaluation to re-tilize and re-upload everything."""
-        self._tilize_cache.invalidate()
-        self._uploaded.clear()
-
-    def _sync_residency_metrics(self) -> None:
-        """Mirror the residency counters into the trace's MetricsRegistry."""
-        trace = self._trace
-        metrics = getattr(trace, "metrics", None) if trace is not None else None
-        if metrics is None:
-            return
-        for name, total in self.residency_counters().items():
-            counter = metrics.counter(f"residency.{name}")
-            if total > counter.value:
-                counter.add(total - counter.value)
-
     # -- buffer management ----------------------------------------------------
 
     def _ensure_buffers(self, n_tiles: int) -> None:
         if self._n_tiles_allocated == n_tiles:
             return
         self._programs.clear()  # geometry changed: recompile
-        self._uploaded.clear()  # fresh buffers hold nothing yet
         for store in (self._buffers, self._out_buffers):
             for buf in store.values():
                 if buf.is_live:
@@ -415,38 +377,18 @@ class TTForceBackend:
 
     # -- main entry ---------------------------------------------------------
 
-    def _upload_j_stream(self, tiles: ParticleTiles) -> None:
-        """Upload the replicated j-stream, skipping columns already resident.
-
-        The tilize cache returns the *same* tile-list object for unchanged
-        columns, so an identity check suffices: a hit charges the modelled
-        transfer (the device-side accounting is unchanged) but skips the
-        host-side re-encode and store.
-        """
-        queue = self.queues[0]
-        column_bytes = (
-            tiles.n_tiles * TILE_ELEMENTS * storage_bytes_per_element(self.fmt)
-        )
-        for q in J_QUANTITIES:
-            col = tiles.columns[q]
-            if self._uploaded.get(q) is col:
-                queue.charge_write_buffer(self._buffers[q])
-                self._upload_skipped_bytes += column_bytes
-            else:
-                queue.enqueue_write_buffer(self._buffers[q], col)
-                self._uploaded[q] = col
-
-    def compute_partial(
+    def compute_shard(
         self, tiles: ParticleTiles, tile_indices: list[int]
     ) -> tuple[dict[str, list[Tile | None]], list[TimelineSegment], float]:
         """Evaluate forces for a subset of i-tiles against the full j-set.
 
         The seam a multi-card composite (``repro.backends.sharded``)
-        shards over: ``tile_indices`` are global i-tile indices, the whole
-        replicated ``tiles`` set streams as the j-side, and each requested
-        tile's accumulation order over the j-stream is fixed regardless of
-        which subset it arrives in — so per-card partials merge
-        bit-identically to a single-card evaluation.
+        shards over: the caller tilizes the particle set once per
+        evaluation and hands the same ``tiles`` to every card as the
+        replicated j-side, ``tile_indices`` are global i-tile indices,
+        and each requested tile's accumulation order over the j-stream is
+        fixed regardless of which subset it arrives in — so per-card
+        partials merge bit-identically to a single-card evaluation.
 
         Returns the per-quantity result tiles (indexed globally, ``None``
         outside the subset), the queue phase segments (device time
@@ -477,37 +419,16 @@ class TTForceBackend:
             raise NBodyError(f"device returned incomplete results for {missing}")
         return results, segments, device_s
 
-    def compute_shard(
-        self, pos: np.ndarray, vel: np.ndarray, mass: np.ndarray,
-        tile_indices: list[int], *, generation: int | None = None,
-    ) -> tuple[dict[str, list[Tile | None]], list[TimelineSegment], float]:
-        """Tilize through this backend's caches and evaluate a shard.
-
-        What :class:`~repro.backends.ShardedTTBackend` calls for each
-        card: raw particle arrays in, partial tiles out (see
-        :meth:`compute_partial`).  The tilize/upload caches live with the
-        backend, so each card keeps its residency across timesteps.
-        """
-        tiles = ParticleTiles.from_arrays(
-            pos, vel, mass, self.fmt, cache=self._tilize_cache,
-            generation=generation,
-        )
-        return self.compute_partial(tiles, tile_indices)
-
     def compute(self, pos: np.ndarray, vel: np.ndarray,
                 mass: np.ndarray) -> ForceEvaluation:
-        tiles = ParticleTiles.from_arrays(
-            pos, vel, mass, self.fmt, cache=self._tilize_cache,
-            generation=self.data_generation,
-        )
-        results, segments, device_s = self.compute_partial(
+        tiles = ParticleTiles.from_arrays(pos, vel, mass, self.fmt)
+        results, segments, device_s = self.compute_shard(
             tiles, list(range(tiles.n_tiles))
         )
         segments.append(TimelineSegment("device", device_s, "force"))
         acc, jerk = ParticleTiles.results_to_arrays(
             {q: results[q] for q in OUT_QUANTITIES}, tiles.n
         )
-        self._sync_residency_metrics()
         return ForceEvaluation(acc, jerk, segments=tuple(segments))
 
     def compute_on_targets(self, pos: np.ndarray, vel: np.ndarray,
@@ -517,33 +438,29 @@ class TTForceBackend:
 
         The device-side unit of work is the 1024-element i-tile, so the
         active block maps to its covering tile set, which goes through
-        :meth:`compute_partial` exactly as a sharded composite's shard
-        would — the full replicated j-stream (tilize and upload caches
-        hit for unchanged source columns), a per-tile accumulation order
-        that never depends on which subset a tile arrives in, and cost
-        accounting for the tiles actually dispatched.  Rows are then
+        :meth:`compute_shard` exactly as a sharded composite's shard
+        would — the full replicated j-stream, a per-tile accumulation
+        order that never depends on which subset a tile arrives in, and
+        cost accounting for the tiles actually dispatched.  Rows are then
         extracted per target, bit-identical to a full :meth:`compute`.
         """
         n = mass.shape[0]
         idx = normalize_targets(targets, n)
-        tiles = ParticleTiles.from_arrays(
-            pos, vel, mass, self.fmt, cache=self._tilize_cache,
-            generation=self.data_generation,
-        )
+        tiles = ParticleTiles.from_arrays(pos, vel, mass, self.fmt)
         needed = sorted({int(t) // TILE_ELEMENTS for t in idx})
-        results, segments, device_s = self.compute_partial(tiles, needed)
+        results, segments, device_s = self.compute_shard(tiles, needed)
         segments.append(TimelineSegment(
             "device", device_s, f"force-subset[{len(needed)}t]"
         ))
         acc, jerk = subset_rows_from_tiles(results, idx)
-        self._sync_residency_metrics()
         return ForceEvaluation(acc, jerk, segments=tuple(segments))
 
     def _run_per_block(self, tiles, tile_indices, results) -> float:
         """The original in-band path: values flow through the simulator."""
         queue = self.queues[0]
         # upload: the device holds the full replicated particle set
-        self._upload_j_stream(tiles)
+        for q in J_QUANTITIES:
+            queue.enqueue_write_buffer(self._buffers[q], tiles.columns[q])
 
         self.devices[0].clear_counters()
         device_s = self._enqueue(
@@ -558,7 +475,13 @@ class TTForceBackend:
         return device_s
 
     def _run_batched(self, tiles, tile_indices, results) -> float:
-        """The batched path: engine values + charge-only program replay."""
+        """The batched path: engine values + charge-only program replay.
+
+        The replay reads placeholder pages, never the DRAM buffers, so the
+        j-set upload and the result download are charged (same phases,
+        DRAM counters and PCIe seconds as the per-block transfers) without
+        moving bytes.
+        """
         engine = self._engine_obj
         if engine is None:
             engine = self._engine_obj = BatchedDispatchEngine(
@@ -566,7 +489,8 @@ class TTForceBackend:
             )
         engine.load_j_stream(tiles)
         queue = self.queues[0]
-        self._upload_j_stream(tiles)
+        for q in J_QUANTITIES:
+            queue.charge_write_buffer(self._buffers[q])
         self.devices[0].clear_counters()
         device_s = self._enqueue(
             self._program_for(tile_indices, tiles.n_tiles, charge_only=True)

@@ -29,7 +29,6 @@ from ..wormhole.tile import TILE_ELEMENTS, Tile, tiles_needed, tilize_1d, untili
 __all__ = [
     "PAD_OFFSET",
     "ParticleTiles",
-    "TilizeCache",
     "assign_tiles_to_cores",
     "subset_rows_from_tiles",
 ]
@@ -50,65 +49,6 @@ I_QUANTITIES = ("x", "y", "z", "vx", "vy", "vz")
 OUT_QUANTITIES = ("ax", "ay", "az", "jx", "jy", "jz")
 
 
-class TilizeCache:
-    """Per-column memoisation of tilized particle quantities.
-
-    Tilizing quantises every column on every force evaluation even though
-    some columns never change (masses are constant for the whole run, and
-    positions repeat between the predictor's trial evaluations).  The cache
-    compares each source column against the last one it tilized and, on a
-    match, returns the *same* tile-list object — which also lets the upload
-    cache in :class:`~repro.nbody_tt.offload.TTForceBackend` recognise, by
-    identity, buffers that already hold the data.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[
-            str, tuple[DataFormat, np.ndarray, list[Tile], int | None]
-        ] = {}
-        #: cross-timestep residency counters (exported through the
-        #: backends' ``residency_counters()`` and Scope metrics)
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_build(self, name: str, source: np.ndarray, fmt: DataFormat,
-                     builder, *, generation: int | None = None) -> list[Tile]:
-        """Tiles for ``source``, reusing the previous build when unchanged.
-
-        With a ``generation`` counter, a column whose stored generation
-        matches is returned without even comparing the source array — the
-        caller vouches that the data did not change since that generation
-        was recorded.  On a generation mismatch (or no generation) the
-        value comparison decides, so constant columns such as masses still
-        hit across generations.
-        """
-        entry = self._entries.get(name)
-        if entry is not None and entry[0] is fmt:
-            if generation is not None and entry[3] == generation:
-                self.hits += 1
-                return entry[2]
-            if np.array_equal(entry[1], source):
-                self.hits += 1
-                self._entries[name] = (entry[0], entry[1], entry[2], generation)
-                return entry[2]
-        self.misses += 1
-        tiles = builder()
-        self._entries[name] = (
-            fmt, np.array(source, dtype=np.float64), tiles, generation
-        )
-        return tiles
-
-    def invalidate(self, name: str | None = None) -> None:
-        """Drop one column (or all of them), forcing a re-tilize next call."""
-        if name is None:
-            self._entries.clear()
-        else:
-            self._entries.pop(name, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
 @dataclass
 class ParticleTiles:
     """Tilized particle data ready for device upload."""
@@ -125,9 +65,6 @@ class ParticleTiles:
         vel: np.ndarray,
         mass: np.ndarray,
         fmt: DataFormat = DataFormat.FLOAT32,
-        *,
-        cache: TilizeCache | None = None,
-        generation: int | None = None,
     ) -> "ParticleTiles":
         n = mass.shape[0]
         if n == 0:
@@ -137,32 +74,19 @@ class ParticleTiles:
         n_tiles = tiles_needed(n)
         pad = n_tiles * TILE_ELEMENTS - n
 
-        def column(name: str, source: np.ndarray, builder) -> list[Tile]:
-            if cache is None:
-                return builder()
-            return cache.get_or_build(
-                name, source, fmt, builder, generation=generation
-            )
-
         # phantom lanes: zero mass, distinct far-away positions (a spread
         # avoids phantom-phantom coincidences), zero velocity
         columns: dict[str, list[Tile]] = {
-            "m": column("m", mass, lambda: tilize_1d(mass, fmt, pad_value=0.0))
+            "m": tilize_1d(mass, fmt, pad_value=0.0)
         }
         offsets = PAD_OFFSET + np.arange(pad)
         for axis, name in enumerate(("x", "y", "z")):
-            columns[name] = column(
-                name, pos[:, axis],
-                lambda axis=axis: tilize_1d(
-                    np.concatenate([pos[:, axis], offsets * (axis + 1)]), fmt
-                ),
+            columns[name] = tilize_1d(
+                np.concatenate([pos[:, axis], offsets * (axis + 1)]), fmt
             )
         for axis, name in enumerate(("vx", "vy", "vz")):
-            columns[name] = column(
-                name, vel[:, axis],
-                lambda axis=axis: tilize_1d(
-                    np.concatenate([vel[:, axis], np.zeros(pad)]), fmt
-                ),
+            columns[name] = tilize_1d(
+                np.concatenate([vel[:, axis], np.zeros(pad)]), fmt
             )
         return cls(n=n, n_tiles=n_tiles, fmt=fmt, columns=columns)
 
@@ -195,7 +119,7 @@ def subset_rows_from_tiles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-target (acc, jerk) rows from a partially-populated tile grid.
 
-    ``tiles_by_quantity`` is the :meth:`TTForceBackend.compute_partial`
+    ``tiles_by_quantity`` is the :meth:`TTForceBackend.compute_shard`
     result shape — globally-indexed tile lists with ``None`` outside the
     evaluated subset.  Every tile covering a target must be present.
     Values pass through as float64 exactly as

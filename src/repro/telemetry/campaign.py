@@ -141,16 +141,17 @@ class JobSpec:
         """Build a campaign job from a :class:`repro.backends.RunSpec`.
 
         The inverse of :meth:`to_runspec`: any ``tt``-family backend maps
-        to an accelerated job, everything else to a reference job.
+        to an accelerated job, everything else to a reference job.  Cores,
+        cards and threads the spec leaves out take the backend registry's
+        defaults, as the functional run of the same spec does.
         """
         from ..backends import BACKENDS
 
-        name = BACKENDS.entry(spec.backend.name).name
-        options = dict(spec.backend.options)
-        if name.startswith("tt"):
+        entry, options = BACKENDS.resolve(spec.backend)
+        if entry.name.startswith("tt"):
             fields = dict(
                 accelerated=True,
-                n_cores=options.get("cores", 64),
+                n_cores=options["cores"],
                 n_devices=options.get("cards", 1),
                 n_threads=1,
             )

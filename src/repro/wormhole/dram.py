@@ -172,7 +172,7 @@ class Dram:
         """Account a write without storing bytes (cf. :meth:`touch_read`).
 
         The DRAM contents at ``address`` are left untouched — callers use
-        this when the stored bytes are already known to be identical.
+        this when nothing reads the stored bytes back (charge-only replays).
         """
         self._locate(address, size)
         self.bytes_written += size

@@ -139,7 +139,7 @@ class TestWorkerModes:
         assert np.array_equal(single.jerk, ev.jerk, equal_nan=True)
 
     def test_thread_matches_serial_across_steps(self, system):
-        """Repeated evaluations (warm residency caches) stay identical."""
+        """Repeated evaluations stay identical."""
         evals = {}
         for mode in ("serial", "thread"):
             backend = make_backend("tt", cores=4, cards=2, workers=mode)

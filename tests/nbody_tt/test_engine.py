@@ -21,12 +21,7 @@ from repro.nbody_tt.force_kernel import (
     resident_i_arrays,
 )
 from repro.nbody_tt.offload import TTForceBackend
-from repro.nbody_tt.tiling import (
-    J_QUANTITIES,
-    OUT_QUANTITIES,
-    ParticleTiles,
-    TilizeCache,
-)
+from repro.nbody_tt.tiling import OUT_QUANTITIES, ParticleTiles
 from repro.wormhole.dtypes import DataFormat
 
 #: Formats DRAM buffers can round-trip (BFP8 is covered engine-directly).
@@ -131,6 +126,20 @@ class TestBitIdentity:
         assert np.array_equal(pb2.jerk, ba2.jerk, equal_nan=True)
         assert np.array_equal(single.acc, ba2.acc, equal_nan=True)
 
+    def test_integration_results_stable_across_steps(self):
+        """A short Hermite run through both engines stays bit-identical
+        across predictor/corrector steps."""
+        from repro.core.simulation import Simulation
+
+        runs = {}
+        for engine in ("per-block", "batched"):
+            backend = TTForceBackend(CreateDevice(0), n_cores=2, engine=engine)
+            sim = Simulation(plummer(1024, seed=13), backend, dt=5e-4)
+            result = sim.run(3)
+            runs[engine] = result.system
+        assert np.array_equal(runs["per-block"].pos, runs["batched"].pos)
+        assert np.array_equal(runs["per-block"].vel, runs["batched"].vel)
+
     def test_engine_rejects_mismatched_format_and_range(self):
         s = plummer(1024, seed=5)
         tiles = ParticleTiles.from_arrays(s.pos, s.vel, s.mass)
@@ -187,90 +196,37 @@ class TestAccountingUnchanged:
         assert rounds["per-block"] == rounds["batched"]
 
     def test_repeat_evaluations_stay_identical(self):
-        """The tilize/upload caches must not change accounting on the
-        second evaluation (charged transfers replace real ones 1:1)."""
+        """The batched engine charges its j-set upload where the per-block
+        oracle moves the bytes: after every call — full and subset, moved
+        and unmoved particles — both leave the same queue phases, DRAM
+        byte counters and NoC traffic, in fp32 and bfloat16."""
         s = plummer(2048, seed=8)
-        per_block, batched = _backend_pair(n_cores=2)
-        for backend in (per_block, batched):
-            backend.compute(s.pos, s.vel, s.mass)
-        e_pb = per_block.compute(s.pos, s.vel, s.mass)
-        e_ba = batched.compute(s.pos, s.vel, s.mass)
-        assert np.array_equal(e_pb.acc, e_ba.acc, equal_nan=True)
-        q_pb, q_ba = per_block.queues[0], batched.queues[0]
-        assert [(p.tag, p.duration_s, p.detail) for p in q_pb.phases] == [
-            (p.tag, p.duration_s, p.detail) for p in q_ba.phases
+        moved = s.pos + 1e-3 * s.vel
+        calls = [
+            lambda b: b.compute(s.pos, s.vel, s.mass),
+            lambda b: b.compute(s.pos, s.vel, s.mass),
+            lambda b: b.compute_on_targets(moved, s.vel, s.mass,
+                                           np.array([7, 1900])),
+            lambda b: b.compute(moved, s.vel, s.mass),
         ]
-
-
-class TestCaches:
-    def test_tilize_cache_reuses_unchanged_columns(self):
-        s = plummer(1024, seed=9)
-        cache = TilizeCache()
-        t1 = ParticleTiles.from_arrays(
-            s.pos, s.vel, s.mass, DataFormat.FLOAT32, cache=cache
-        )
-        t2 = ParticleTiles.from_arrays(
-            s.pos, s.vel, s.mass, DataFormat.FLOAT32, cache=cache
-        )
-        for q in J_QUANTITIES:
-            assert t2.columns[q] is t1.columns[q], q
-        # a position change rebuilds x/y/z but keeps mass and velocities
-        pos2 = s.pos.copy()
-        pos2[0, 0] += 1e-3
-        t3 = ParticleTiles.from_arrays(
-            pos2, s.vel, s.mass, DataFormat.FLOAT32, cache=cache
-        )
-        assert t3.columns["m"] is t1.columns["m"]
-        assert t3.columns["vx"] is t1.columns["vx"]
-        assert t3.columns["x"] is not t1.columns["x"]
-
-    def test_tilize_cache_respects_format(self):
-        s = plummer(1024, seed=10)
-        cache = TilizeCache()
-        t32 = ParticleTiles.from_arrays(
-            s.pos, s.vel, s.mass, DataFormat.FLOAT32, cache=cache
-        )
-        t16 = ParticleTiles.from_arrays(
-            s.pos, s.vel, s.mass, DataFormat.BFLOAT16, cache=cache
-        )
-        assert t16.columns["m"] is not t32.columns["m"]
-        assert t16.columns["m"][0].fmt is DataFormat.BFLOAT16
-
-    def test_cached_tiles_match_uncached(self):
-        s = plummer(1500, seed=11)
-        cache = TilizeCache()
-        cached = ParticleTiles.from_arrays(
-            s.pos, s.vel, s.mass, DataFormat.FLOAT32, cache=cache
-        )
-        plain = ParticleTiles.from_arrays(s.pos, s.vel, s.mass)
-        for q in J_QUANTITIES:
-            for a, b in zip(cached.columns[q], plain.columns[q]):
-                assert np.array_equal(a.data, b.data)
-
-    def test_upload_cache_skips_reupload_of_constant_columns(self):
-        s = plummer(1024, seed=12)
-        backend = TTForceBackend(CreateDevice(0), n_cores=1, engine="batched")
-        backend.compute(s.pos, s.vel, s.mass)
-        uploaded_mass = backend._uploaded["m"]
-        pos2 = s.pos + 1e-4
-        backend.compute(pos2, s.vel, s.mass)
-        # mass column untouched -> same resident tile list; positions
-        # changed -> re-uploaded
-        assert backend._uploaded["m"] is uploaded_mass
-
-    def test_integration_results_stable_across_steps(self):
-        """A short Hermite run through both engines stays bit-identical
-        even with the caches active across predictor/corrector steps."""
-        from repro.core.simulation import Simulation
-
-        runs = {}
-        for engine in ("per-block", "batched"):
-            backend = TTForceBackend(CreateDevice(0), n_cores=2, engine=engine)
-            sim = Simulation(plummer(1024, seed=13), backend, dt=5e-4)
-            result = sim.run(3)
-            runs[engine] = result.system
-        assert np.array_equal(runs["per-block"].pos, runs["batched"].pos)
-        assert np.array_equal(runs["per-block"].vel, runs["batched"].vel)
+        for fmt in (DataFormat.FLOAT32, DataFormat.BFLOAT16):
+            per_block, batched = _backend_pair(fmt=fmt, n_cores=2)
+            for k, call in enumerate(calls):
+                e_pb, e_ba = call(per_block), call(batched)
+                assert np.array_equal(e_pb.acc, e_ba.acc, equal_nan=True)
+                assert np.array_equal(e_pb.jerk, e_ba.jerk, equal_nan=True)
+                q_pb, q_ba = per_block.queues[0], batched.queues[0]
+                assert [(p.tag, p.duration_s, p.detail)
+                        for p in q_pb.phases] == [
+                    (p.tag, p.duration_s, p.detail) for p in q_ba.phases
+                ], (fmt, k)
+                d_pb, d_ba = per_block.devices[0], batched.devices[0]
+                assert d_pb.dram.bytes_read == d_ba.dram.bytes_read, (fmt, k)
+                assert d_pb.dram.bytes_written == d_ba.dram.bytes_written, (
+                    fmt, k)
+                assert [n.stats for n in d_pb.nocs] == [
+                    n.stats for n in d_ba.nocs
+                ], (fmt, k)
 
 
 class TestEngineSelection:
