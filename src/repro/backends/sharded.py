@@ -205,7 +205,7 @@ class ShardedTTBackend:
 
     # -- main entry --------------------------------------------------------
 
-    def _evaluate_tiles(self, tiles, tile_list, detail="force"):
+    def _evaluate_tiles(self, tiles, tile_list, detail="force", rows=None):
         """Shard a global i-tile list across cards and merge the partials.
 
         The common engine under :meth:`compute` (all tiles) and
@@ -215,8 +215,10 @@ class ShardedTTBackend:
         the calling thread) on its own thread unless the run is serial,
         and the merge below always walks cards in ascending index order —
         so segments, costs and result bits are independent of thread
-        scheduling and of which subset is asked for.  Returns the
-        globally-indexed result tiles plus the merged timeline segments.
+        scheduling and of which subset is asked for.  ``rows`` (the
+        target lanes per tile) goes to every card whole; each card reads
+        only its own tiles' entries.  Returns the globally-indexed result
+        tiles plus the merged timeline segments.
         """
         from ..nbody_tt.tiling import OUT_QUANTITIES
 
@@ -233,7 +235,9 @@ class ShardedTTBackend:
         active = [card for card in range(self.n_cards) if shards[card]]
 
         def run(card):
-            return self.children[card].compute_shard(tiles, shards[card])
+            return self.children[card].compute_shard(
+                tiles, shards[card], rows
+            )
 
         if trace is not None or self.workers == "serial":
             # serial, in-line: traced runs must stay single-threaded (the
@@ -317,16 +321,21 @@ class ShardedTTBackend:
         cards exactly as a full evaluation splits the whole tile range,
         so each card's per-tile accumulation — and therefore the merged
         result — is bit-identical to a full :meth:`compute` sliced at the
-        targets, serial or threaded.  Device time, per-card costs and
-        the ring allgather are priced for the subset actually shipped.
+        targets, serial or threaded; each card computes only the target
+        rows of its tiles.  Device time, per-card costs and the ring
+        allgather are priced for the covering tiles actually shipped.
         """
-        from ..nbody_tt.tiling import ParticleTiles, subset_rows_from_tiles
+        from ..nbody_tt.tiling import (
+            ParticleTiles,
+            covering_tiles,
+            subset_rows_from_tiles,
+        )
 
         idx = normalize_targets(targets, mass.shape[0])
         tiles = ParticleTiles.from_arrays(pos, vel, mass, self.fmt)
-        needed = sorted({int(t) // TILE_ELEMENTS for t in idx})
+        needed, rows = covering_tiles(idx)
         results, segments = self._evaluate_tiles(
-            tiles, needed, detail=f"force-subset[{len(needed)}t]",
+            tiles, needed, detail=f"force-subset[{len(needed)}t]", rows=rows,
         )
 
         acc, jerk = subset_rows_from_tiles(results, idx)

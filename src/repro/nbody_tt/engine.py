@@ -95,13 +95,22 @@ class BatchedDispatchEngine:
     # -- main entry ---------------------------------------------------------
 
     def compute_tiles(
-        self, tile_indices: list[int]
+        self, tile_indices: list[int],
+        rows: dict[int, np.ndarray] | None = None,
     ) -> dict[int, list[np.ndarray]]:
         """Accumulated (ax..jz) vectors for each requested i-tile.
 
         Returns, per tile, six ``TILE_ELEMENTS`` vectors in
         ``OUT_QUANTITIES`` order, carrying exactly the bits the per-block
         accumulators would hold after their final j-tile.
+
+        ``rows`` maps each requested tile to the sorted, unique lanes the
+        caller needs (``None`` = every lane).  In fp32 only those lanes are
+        evaluated — each row's j-reduction is independent of every other
+        row, so they carry the whole-tile bits — and every other lane holds
+        NaN.  Reduced-precision formats compute whole tiles regardless:
+        their accumulators are re-quantised across ``_ROWS_GENERIC``-row
+        slices, so their rows are not independent.
         """
         if not self._j:
             raise NBodyError("load_j_stream must be called before compute")
@@ -112,54 +121,75 @@ class BatchedDispatchEngine:
                     f"i-tile {it} out of range [0, {self._n_tiles})"
                 )
             if self.fmt is DataFormat.FLOAT32:
-                out[it] = self._tile_fp32(it)
+                out[it] = self._tile_fp32(
+                    it, None if rows is None else rows[it]
+                )
             else:
                 out[it] = self._tile_generic(it)
         return out
 
     # -- fp32 path ----------------------------------------------------------
 
-    def _tile_fp32(self, it: int) -> list[np.ndarray]:
+    def _tile_fp32(self, it: int, lanes) -> list[np.ndarray]:
+        """One i-tile: each maximal run of ``lanes`` (all lanes when
+        ``None``) is evaluated from zeroed accumulators; the rest is NaN."""
+        accs = [np.full(TILE_ELEMENTS, np.nan, dtype=np.float32)
+                for _ in range(6)]
+        runs = [(0, TILE_ELEMENTS)] if lanes is None else _lane_runs(lanes)
+        base = it * TILE_ELEMENTS
+        for lo, hi in runs:
+            run_accs = [a[lo:hi] for a in accs]
+            for a in run_accs:
+                a[:] = 0.0
+            self._rows_fp32(base + lo, hi - lo, run_accs)
+        return accs
+
+    def _rows_fp32(self, g0: int, n: int, accs: list[np.ndarray]) -> None:
+        """Accumulate rows ``[g0, g0 + n)`` (global particle indices)
+        against the whole j-stream into the length-``n`` ``accs``.
+
+        ``g0`` doubles as the self-mask's diagonal: row ``r`` of the run is
+        particle ``g0 + r``, whose self-interaction sits in j-column
+        ``g0 + r``.
+        """
         j = self._j
         i_arrs = [j[q] for q in ("x", "y", "z", "vx", "vy", "vz")]
         j_arrs = [j[q] for q in J_QUANTITIES]
         eps2 = np.float32(self.softening * self.softening)
         width = self._n_tiles * TILE_ELEMENTS
-        accs = [np.zeros(TILE_ELEMENTS, dtype=np.float32) for _ in range(6)]
-        base = it * TILE_ELEMENTS
 
         if self._fused is not None:
-            # one call per i-tile: products never leave L1, and the
+            # one call per run: products never leave L1, and the
             # reduction runs NumPy's pairwise tree in C (self-tested at
             # load time), accumulating in ascending j-tile order exactly
             # like _reduce_f32
-            i_chunk = [a[base : base + TILE_ELEMENTS] for a in i_arrs]
-            self._fused(i_chunk, j_arrs, float(eps2), TILE_ELEMENTS,
-                        width, base, accs)
-            return accs
+            i_run = [a[g0 : g0 + n] for a in i_arrs]
+            self._fused(i_run, j_arrs, float(eps2), n, width, g0, accs)
+            return
 
         native = self._native
         rows = _ROWS_NATIVE if native is not None else _ROWS_NUMPY
-        rows = min(rows, TILE_ELEMENTS)
         wcols = (
             width if native is not None
             else min(width, _WTILES_NUMPY * TILE_ELEMENTS)
         )
-        for r0 in range(0, TILE_ELEMENTS, rows):
-            i_chunk = [a[base + r0 : base + r0 + rows] for a in i_arrs]
+        for r0 in range(0, n, rows):
+            m = min(rows, n - r0)
+            i_chunk = [a[g0 + r0 : g0 + r0 + m] for a in i_arrs]
             for c0 in range(0, width, wcols):
                 cols = min(wcols, width - c0)
-                prods = self._scratch_f32(rows, cols)
+                # a short chunk uses the leading rows of the full-shape
+                # buffers, so scratch stays one set per chunk shape
+                prods = [b[:m] for b in self._scratch_f32(rows, cols)]
                 j_chunk = [a[c0 : c0 + cols] for a in j_arrs]
-                diag0 = base + r0 - c0
+                diag0 = g0 + r0 - c0
                 if native is not None:
-                    native(i_chunk, j_chunk, float(eps2), rows, cols,
+                    native(i_chunk, j_chunk, float(eps2), m, cols,
                            diag0, prods)
                 else:
-                    _numpy_chunk_f32(i_chunk, j_chunk, eps2, rows, cols,
+                    _numpy_chunk_f32(i_chunk, j_chunk, eps2, m, cols,
                                      diag0, prods)
-                self._reduce_f32(accs, prods, r0, rows, c0, cols)
-        return accs
+                self._reduce_f32(accs, prods, r0, m, c0, cols)
 
     def _scratch_f32(self, rows: int, cols: int) -> list[np.ndarray]:
         bufs = self._scratch.get((rows, cols))
@@ -254,6 +284,24 @@ class BatchedDispatchEngine:
                                 a[rslice] + q(partial[:, jt]), fmt
                             )
         return accs
+
+
+def _lane_runs(lanes) -> list[tuple[int, int]]:
+    """Maximal ``[lo, hi)`` runs of consecutive lanes in ``lanes``.
+
+    ``lanes`` must be non-empty, strictly increasing and inside one tile.
+    """
+    lanes = np.asarray(lanes, dtype=np.intp)
+    if (lanes.ndim != 1 or lanes.size == 0 or lanes[0] < 0
+            or lanes[-1] >= TILE_ELEMENTS or np.any(np.diff(lanes) <= 0)):
+        raise NBodyError(
+            "rows must be non-empty, strictly increasing lanes in "
+            f"[0, {TILE_ELEMENTS})"
+        )
+    breaks = np.flatnonzero(np.diff(lanes) != 1) + 1
+    starts = lanes[np.r_[0, breaks]]
+    ends = lanes[np.r_[breaks - 1, lanes.size - 1]] + 1
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def _numpy_chunk_f32(i_chunk, j_chunk, eps2, rows, cols, diag0, bufs):

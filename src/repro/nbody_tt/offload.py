@@ -58,6 +58,7 @@ from .tiling import (
     OUT_QUANTITIES,
     ParticleTiles,
     assign_tiles_to_cores,
+    covering_tiles,
     subset_rows_from_tiles,
 )
 
@@ -378,7 +379,8 @@ class TTForceBackend:
     # -- main entry ---------------------------------------------------------
 
     def compute_shard(
-        self, tiles: ParticleTiles, tile_indices: list[int]
+        self, tiles: ParticleTiles, tile_indices: list[int],
+        rows: dict[int, np.ndarray] | None = None,
     ) -> tuple[dict[str, list[Tile | None]], list[TimelineSegment], float]:
         """Evaluate forces for a subset of i-tiles against the full j-set.
 
@@ -390,6 +392,17 @@ class TTForceBackend:
         fixed regardless of which subset it arrives in — so per-card
         partials merge bit-identically to a single-card evaluation.
 
+        ``rows`` (see :func:`~repro.nbody_tt.tiling.covering_tiles`) maps
+        each requested tile to the sorted lanes the caller will read; the
+        mapping may hold other tiles' entries too.  The device is still
+        charged whole tiles — the kernel's unit of work is the i-tile —
+        but in fp32 the batched engine computes only those lanes, and
+        **every other lane of a returned tile is NaN**, so a caller that
+        reads a lane it did not ask for fails the integrator loop's
+        per-step ``ParticleSystem.check_finite`` instead of integrating a
+        plausible zero force.  Other formats and the per-block engine
+        compute whole tiles.
+
         Returns the per-quantity result tiles (indexed globally, ``None``
         outside the subset), the queue phase segments (device time
         excluded), and the device's compute seconds.
@@ -400,11 +413,10 @@ class TTForceBackend:
         }
         queue = self.queues[0]
         phase_mark = len(queue.phases)
-        run = (
-            self._run_batched if self.engine == "batched"
-            else self._run_per_block
-        )
-        device_s = run(tiles, tile_indices, results)
+        if self.engine == "batched":
+            device_s = self._run_batched(tiles, tile_indices, results, rows)
+        else:
+            device_s = self._run_per_block(tiles, tile_indices, results)
         segments = [
             TimelineSegment(p.tag, p.duration_s, p.detail)
             for p in queue.phases[phase_mark:]
@@ -441,14 +453,15 @@ class TTForceBackend:
         :meth:`compute_shard` exactly as a sharded composite's shard
         would — the full replicated j-stream, a per-tile accumulation
         order that never depends on which subset a tile arrives in, and
-        cost accounting for the tiles actually dispatched.  Rows are then
+        cost accounting for the tiles actually dispatched.  The host
+        computes only the target rows of those tiles, and they are
         extracted per target, bit-identical to a full :meth:`compute`.
         """
         n = mass.shape[0]
         idx = normalize_targets(targets, n)
         tiles = ParticleTiles.from_arrays(pos, vel, mass, self.fmt)
-        needed = sorted({int(t) // TILE_ELEMENTS for t in idx})
-        results, segments, device_s = self.compute_shard(tiles, needed)
+        needed, rows = covering_tiles(idx)
+        results, segments, device_s = self.compute_shard(tiles, needed, rows)
         segments.append(TimelineSegment(
             "device", device_s, f"force-subset[{len(needed)}t]"
         ))
@@ -474,7 +487,7 @@ class TTForceBackend:
                 results[q][it] = out_tiles[it]
         return device_s
 
-    def _run_batched(self, tiles, tile_indices, results) -> float:
+    def _run_batched(self, tiles, tile_indices, results, rows) -> float:
         """The batched path: engine values + charge-only program replay.
 
         The replay reads placeholder pages, never the DRAM buffers, so the
@@ -495,7 +508,7 @@ class TTForceBackend:
         device_s = self._enqueue(
             self._program_for(tile_indices, tiles.n_tiles, charge_only=True)
         )
-        values = engine.compute_tiles(tile_indices)
+        values = engine.compute_tiles(tile_indices, rows)
         for q in OUT_QUANTITIES:
             queue.charge_read_buffer(self._out_buffers[q])
         for it, vecs in values.items():

@@ -30,6 +30,7 @@ __all__ = [
     "PAD_OFFSET",
     "ParticleTiles",
     "assign_tiles_to_cores",
+    "covering_tiles",
     "subset_rows_from_tiles",
 ]
 
@@ -112,6 +113,23 @@ class ParticleTiles:
         acc = np.column_stack([cols["ax"], cols["ay"], cols["az"]])
         jerk = np.column_stack([cols["jx"], cols["jy"], cols["jz"]])
         return acc, jerk
+
+
+def covering_tiles(
+    targets: np.ndarray,
+) -> tuple[list[int], dict[int, np.ndarray]]:
+    """The i-tiles covering ``targets`` and the lanes each of them needs.
+
+    ``targets`` are global particle indices in any order, duplicates
+    allowed.  Returns the covering tiles in ascending order and, for each,
+    its sorted unique lanes (``intp``, within ``[0, TILE_ELEMENTS)``) —
+    the ``rows`` mapping :meth:`TTForceBackend.compute_shard` takes.
+    """
+    unique = np.unique(np.asarray(targets, dtype=np.intp))
+    tiles, starts = np.unique(unique // TILE_ELEMENTS, return_index=True)
+    needed = tiles.tolist()
+    lanes = np.split(unique % TILE_ELEMENTS, starts[1:])
+    return needed, dict(zip(needed, lanes))
 
 
 def subset_rows_from_tiles(
